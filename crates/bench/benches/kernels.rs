@@ -139,14 +139,18 @@ fn bench_noise_channel(c: &mut Criterion) {
 }
 
 fn bench_sampling(c: &mut Criterion) {
-    let circuit = ansatz_circuit(8);
-    let mut st = Statevector::zero(8);
-    st.apply_circuit(&circuit);
-    let probs = st.probabilities();
-    c.bench_function("sampling/1024_shots_8q", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| std::hint::black_box(qsim::sample_counts(&probs, 1024, &mut rng)))
-    });
+    // 4 outcomes: a 2-qubit subset (branch-free CDF count); 64 and 256
+    // outcomes: CH4-6 and 8-qubit Globals (guide table).
+    for n in [2usize, 6, 8] {
+        let circuit = ansatz_circuit(n);
+        let mut st = Statevector::zero(n);
+        st.apply_circuit(&circuit);
+        let probs = st.probabilities();
+        c.bench_function(format!("sampling/1024_shots_{n}q"), |b| {
+            let mut rng = StdRng::seed_from_u64(3);
+            b.iter(|| std::hint::black_box(qsim::sample_counts(&probs, 1024, &mut rng)))
+        });
+    }
 }
 
 fn bench_lanczos(c: &mut Criterion) {

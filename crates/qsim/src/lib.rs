@@ -32,8 +32,7 @@
 //!   [`transport::ChannelRanks`] rank threads), typed
 //!   [`TransportError`] failures, and per-backend movement counters
 //!   ([`TransportCounters`], via `ShardedState::shard_stats`),
-//! - [`sample_counts`] / [`sample_counts_many`]: seeded shot sampling,
-//!   serial and batched-parallel,
+//! - [`sample_counts`]: seeded shot sampling by exact inverse-CDF draws,
 //! - [`lowest_eigenvalue`]: matrix-free Lanczos for exact reference
 //!   energies.
 //!
@@ -74,7 +73,7 @@ pub use gate::Gate;
 pub use linalg::{lowest_eigenvalue, smallest_tridiagonal_eigenvalue, HermitianOp, LanczosResult};
 pub use plan::{CircuitPlan, PlanCache, ShardPlan, SharedPlanCache};
 pub use qasm::to_qasm;
-pub use sampler::{sample_counts, sample_counts_many, sample_index};
+pub use sampler::sample_counts;
 pub use shard::{ShardedState, Sharding};
 pub use state::{CapacityError, Statevector};
 pub use transport::{

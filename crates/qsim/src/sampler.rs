@@ -1,6 +1,29 @@
 //! Shot sampling from outcome distributions.
+//!
+//! Every shot is an exact inverse-CDF draw: one `rng.random::<f64>()`
+//! value `r`, scaled to `u = r · total`, selects the first outcome whose
+//! running sum exceeds `u`. Two kernels find that outcome without a
+//! data-dependent search:
+//!
+//! - up to [`SMALL`] outcomes (subset circuits), the index is the
+//!   branch-free count of CDF entries `<= u`;
+//! - above that (Global circuits), a guide table (Chen & Asau's indexed
+//!   search) maps `floor(r · B)` for `B` power-of-two buckets to the
+//!   first outcome that can hold the answer; one branch-free step and a
+//!   rarely taken loop finish the draw.
+//!
+//! Both compute the same index as a binary search over the CDF, so the
+//! counts for a given RNG stream do not depend on the kernel.
 
 use rand::Rng;
+
+/// Largest outcome count drawn by the branch-free CDF count; larger
+/// distributions use the guide table.
+const SMALL: usize = 8;
+
+/// Guide-table buckets per outcome, before rounding the outcome count
+/// up to a power of two.
+const BUCKETS_PER_OUTCOME: usize = 4;
 
 /// Draws `shots` samples from the distribution `probs` and returns a count
 /// per outcome index.
@@ -9,9 +32,18 @@ use rand::Rng;
 /// inputs (e.g. probabilities that sum to `1 ± 1e-12` after floating-point
 /// round-off) are fine.
 ///
+/// Each shot consumes exactly one `rng.random::<f64>()` value `r` and
+/// returns the first index whose cumulative sum is greater than
+/// `r · total`, clamped to the last index with positive probability. A
+/// zero-probability outcome is therefore never drawn. Distributions of at
+/// most 8 outcomes are drawn by a branch-free count over the CDF, larger
+/// ones through a guide table of `4 · next_pow2(len)` buckets; the kernel
+/// choice never changes the counts.
+///
 /// # Panics
 ///
-/// Panics if `probs` is empty, contains a negative entry, or sums to zero.
+/// Panics if `probs` is empty, contains a non-finite or negative entry,
+/// sums to zero, or sums past `f64::MAX`.
 ///
 /// # Examples
 ///
@@ -24,94 +56,97 @@ use rand::Rng;
 /// assert!(counts[0] > 400 && counts[0] < 600);
 /// ```
 pub fn sample_counts<R: Rng + ?Sized>(probs: &[f64], shots: u64, rng: &mut R) -> Vec<u64> {
-    let cdf = cumulative(probs);
+    let mut cdf = cumulative(probs);
+    let total = cdf[cdf.len() - 1];
+    let last = probs
+        .iter()
+        .rposition(|&p| p > 0.0)
+        .expect("a positive total has a positive entry");
     let mut counts = vec![0u64; probs.len()];
-    for _ in 0..shots {
-        counts[draw(&cdf, rng)] += 1;
+    if probs.len() <= SMALL {
+        // Entries past the distribution are never `<= u`.
+        let mut padded = [f64::INFINITY; SMALL];
+        padded[..cdf.len()].copy_from_slice(&cdf);
+        for _ in 0..shots {
+            let u = rng.random::<f64>() * total;
+            let below: usize = padded.iter().map(|&c| usize::from(c <= u)).sum();
+            counts[below.min(last)] += 1;
+        }
+    } else {
+        // The sentinel stops both scans below at `probs.len()`.
+        cdf.push(f64::INFINITY);
+        let guide = guide_table(&cdf, total);
+        let scale = guide.len() as f64;
+        for _ in 0..shots {
+            let r = rng.random::<f64>();
+            let u = r * total;
+            // `r · scale` is exact, so the bucket `j` satisfies
+            // `j / scale <= r` and its start never passes the answer.
+            let mut i = guide[(r * scale) as usize] as usize;
+            i += usize::from(cdf[i] <= u);
+            while cdf[i] <= u {
+                i += 1;
+            }
+            counts[i.min(last)] += 1;
+        }
     }
     counts
 }
 
-/// Draws a single outcome index from the distribution `probs`.
-///
-/// # Panics
-///
-/// Same conditions as [`sample_counts`].
-pub fn sample_index<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> usize {
-    draw(&cumulative(probs), rng)
-}
-
-/// Draws `shots` samples per seed from the distribution `probs`, one
-/// independent count vector per entry of `seeds`, computed on scoped
-/// threads.
-///
-/// The CDF is built once and shared; each seed drives its own
-/// `StdRng::seed_from_u64` stream, so the result for a given seed is
-/// identical to a serial [`sample_counts`] call with that freshly seeded
-/// RNG — batch parallelism never changes the counts. This is the
-/// shot-sampling entry point for executors running many independent
-/// trials or repeated measurements of the same prepared state.
-///
-/// # Panics
-///
-/// Same conditions as [`sample_counts`].
-///
-/// # Examples
-///
-/// ```
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let probs = [0.25, 0.75];
-/// let batch = qsim::sample_counts_many(&probs, 100, &[7, 8]);
-/// let mut rng = StdRng::seed_from_u64(7);
-/// assert_eq!(batch[0], qsim::sample_counts(&probs, 100, &mut rng));
-/// assert_eq!(batch[1].iter().sum::<u64>(), 100);
-/// ```
-pub fn sample_counts_many(probs: &[f64], shots: u64, seeds: &[u64]) -> Vec<Vec<u64>> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let cdf = cumulative(probs);
-    parallel::parallel_map(seeds.to_vec(), |&seed| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut counts = vec![0u64; probs.len()];
-        for _ in 0..shots {
-            counts[draw(&cdf, &mut rng)] += 1;
-        }
-        counts
-    })
-}
-
+/// Running sums of `probs`, with room for one more entry.
 fn cumulative(probs: &[f64]) -> Vec<f64> {
     assert!(
         !probs.is_empty(),
         "cannot sample from an empty distribution"
     );
-    let mut cdf = Vec::with_capacity(probs.len());
+    let mut cdf = Vec::with_capacity(probs.len() + 1);
     let mut acc = 0.0;
-    for &p in probs {
-        assert!(p >= 0.0, "negative probability {p}");
+    for (i, &p) in probs.iter().enumerate() {
+        assert!(p.is_finite(), "non-finite probability {p} at index {i}");
+        assert!(p >= 0.0, "negative probability {p} at index {i}");
         acc += p;
         cdf.push(acc);
     }
+    assert!(acc.is_finite(), "distribution sum overflows f64");
     assert!(acc > 0.0, "distribution sums to zero");
     cdf
 }
 
-fn draw<R: Rng + ?Sized>(cdf: &[f64], rng: &mut R) -> usize {
-    let total = *cdf.last().expect("cdf is nonempty");
-    let u = rng.random::<f64>() * total;
-    // Binary search for the first cdf entry >= u.
-    match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("no NaN in cdf")) {
-        Ok(i) | Err(i) => i.min(cdf.len() - 1),
-    }
+/// For each of `4 · next_pow2(n)` buckets `j`, the number of CDF entries
+/// `<= (j / buckets) · total`: the first index a draw with
+/// `floor(r · buckets) == j` can return. `cdf` ends in an infinite
+/// sentinel.
+fn guide_table(cdf: &[f64], total: f64) -> Vec<u32> {
+    let n = cdf.len() - 1;
+    let buckets = (BUCKETS_PER_OUTCOME * n).next_power_of_two();
+    // Exact: `buckets` is a power of two.
+    let width = (buckets as f64).recip();
+    let mut i = 0;
+    (0..buckets)
+        .map(|j| {
+            let t = (j as f64 * width) * total;
+            while cdf[i] <= t {
+                i += 1;
+            }
+            u32::try_from(i).expect("outcome count fits in u32")
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// An RNG that returns the same 64 bits forever.
+    struct Constant(u64);
+
+    impl RngCore for Constant {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
 
     #[test]
     fn deterministic_distribution_always_hits_the_point_mass() {
@@ -156,14 +191,46 @@ mod tests {
     }
 
     #[test]
-    fn batch_sampling_matches_serial_per_seed() {
-        let probs = [0.1, 0.2, 0.3, 0.4];
-        let seeds: Vec<u64> = (0..12).collect();
-        let batch = sample_counts_many(&probs, 333, &seeds);
-        assert_eq!(batch.len(), seeds.len());
-        for (&seed, counts) in seeds.iter().zip(&batch) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            assert_eq!(counts, &sample_counts(&probs, 333, &mut rng), "seed {seed}");
+    fn boundary_draws_skip_zero_probability_outcomes() {
+        // (distribution, raw RNG bits, the one outcome drawn). `r = 0` and
+        // `r = 1/2` put `u` exactly on a CDF entry that zero-probability
+        // outcomes share; the largest `r` sits just below trailing zeros.
+        let with = |n: usize, masses: &[(usize, f64)]| {
+            let mut probs = vec![0.0; n];
+            for &(i, p) in masses {
+                probs[i] = p;
+            }
+            probs
+        };
+        let cases = [
+            (with(2, &[(1, 1.0)]), 0, 1),
+            (with(3, &[(2, 1.0)]), 0, 2),
+            (with(16, &[(15, 1.0)]), 0, 15),
+            (with(4, &[(0, 0.5), (3, 0.5)]), 1 << 63, 3),
+            (with(16, &[(0, 0.5), (15, 0.5)]), 1 << 63, 15),
+            (with(3, &[(0, 0.25), (1, 0.75)]), u64::MAX, 1),
+            (with(12, &[(0, 0.25), (1, 0.75)]), u64::MAX, 1),
+        ];
+        for (probs, bits, hit) in cases {
+            let mut expect = vec![0; probs.len()];
+            expect[hit] = 3;
+            let counts = sample_counts(&probs, 3, &mut Constant(bits));
+            assert_eq!(counts, expect, "{probs:?} at bits {bits:#x}");
+        }
+    }
+
+    #[test]
+    fn guide_table_starts_never_pass_the_answer() {
+        let probs: Vec<f64> = (0..40).map(|i| f64::from(i % 7)).collect();
+        let mut cdf = cumulative(&probs);
+        let total = cdf[cdf.len() - 1];
+        cdf.push(f64::INFINITY);
+        let guide = guide_table(&cdf, total);
+        assert_eq!(guide.len(), 256);
+        let scale = guide.len() as f64;
+        for (j, &start) in guide.iter().enumerate() {
+            let u = (j as f64 / scale) * total;
+            assert_eq!(start as usize, cdf.partition_point(|&c| c <= u), "{j}");
         }
     }
 
@@ -171,6 +238,24 @@ mod tests {
     #[should_panic(expected = "negative probability")]
     fn negative_probability_panics() {
         sample_counts(&[0.5, -0.5], 1, &mut StdRng::seed_from_u64(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite probability inf at index 0")]
+    fn infinite_probability_panics() {
+        sample_counts(&[f64::INFINITY, 1.0], 1, &mut StdRng::seed_from_u64(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite probability NaN at index 1")]
+    fn nan_probability_panics() {
+        sample_counts(&[0.5, f64::NAN], 1, &mut StdRng::seed_from_u64(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "sum overflows")]
+    fn overflowing_sum_panics() {
+        sample_counts(&[f64::MAX, f64::MAX], 1, &mut StdRng::seed_from_u64(0));
     }
 
     #[test]
