@@ -139,9 +139,9 @@ fn bench_noise_channel(c: &mut Criterion) {
 }
 
 fn bench_sampling(c: &mut Criterion) {
-    // 4 outcomes: a 2-qubit subset (branch-free CDF count); 64 and 256
-    // outcomes: CH4-6 and 8-qubit Globals (guide table).
-    for n in [2usize, 6, 8] {
+    // 2 and 4 outcomes: 1- and 2-qubit subsets (branch-free CDF count);
+    // 64 and 256 outcomes: CH4-6 and 8-qubit Globals (guide table).
+    for n in [1usize, 2, 6, 8] {
         let circuit = ansatz_circuit(n);
         let mut st = Statevector::zero(n);
         st.apply_circuit(&circuit);

@@ -1,12 +1,16 @@
 //! Benchmarks for the Bayesian-reconstruction engine, CI-archived as
 //! `BENCH_reconstruction.json` (see the bench-smoke job): the one-shot
 //! compatibility path, the key-cached persistent path the VQE evaluators
-//! run, multi-round sweeps, and the serial/parallel pair at a size where
-//! the chunked marginal reduction can go threaded.
+//! run, one VarSaw evaluation's chained reconstructions on the real
+//! H2O-8 geometry, multi-round sweeps, and the serial/parallel pair at a
+//! size where the chunked passes can go threaded.
 
+use chem::{molecular_hamiltonian, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mitigation::{reconstruct, Parallelism, Pmf, ReconstructionConfig, Reconstructor};
+use qnoise::{apply_readout_errors, ReadoutError};
 use qsim::Statevector;
+use varsaw::SpatialPlan;
 use vqe::{EfficientSu2, Entanglement};
 
 /// The 8-qubit EfficientSU2 output distribution with 7 pairwise window
@@ -70,6 +74,45 @@ fn bench_cached(c: &mut Criterion) {
     });
 }
 
+/// One VarSaw H2O-8 evaluation's chained reconstructions: every basis
+/// circuit's prior (a readout-noised 8-qubit distribution) updated by its
+/// windows' locals, marginalized from the `SpatialPlan` subset groups of
+/// the clean distribution exactly as `VarSawEvaluator` does.
+fn bench_varsaw_chain(c: &mut Criterion) {
+    let spec = MoleculeSpec::find("H2O", 8).unwrap();
+    let plan = SpatialPlan::new(&molecular_hamiltonian(&spec), 2);
+    let n = spec.qubits;
+    let a = EfficientSu2::new(n, 2, Entanglement::Full);
+    let mut st = Statevector::zero(n);
+    st.apply_circuit(&a.circuit(&a.initial_parameters(7)));
+    let clean = Pmf::new((0..n).collect(), st.probabilities());
+    let mut noisy = st.probabilities();
+    apply_readout_errors(&mut noisy, &vec![ReadoutError::symmetric(0.05); n]);
+    let prior = Pmf::new((0..n).collect(), noisy);
+    let subsets: Vec<Pmf> = plan
+        .subset_groups()
+        .iter()
+        .map(|g| clean.marginal(&g.basis.support()))
+        .collect();
+    let locals: Vec<Vec<Pmf>> = (0..plan.bases().len())
+        .map(|b| {
+            plan.coverage(b)
+                .iter()
+                .map(|wc| subsets[wc.group].marginal(&wc.subset.support()))
+                .collect()
+        })
+        .collect();
+    let mut engine = Reconstructor::new();
+    let cfg = ReconstructionConfig::default();
+    c.bench_function("reconstruction/varsaw_h2o8_chain", |b| {
+        b.iter(|| {
+            for l in &locals {
+                std::hint::black_box(engine.reconstruct(&prior, l, cfg));
+            }
+        })
+    });
+}
+
 fn bench_parallel_pair(c: &mut Criterion) {
     // 16 qubits: 65536 outcomes, 16 chunks — above the Auto threshold, so
     // the serial/parallel pair isolates the threaded marginal reduction.
@@ -99,6 +142,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = reconstruction;
     config = config();
-    targets = bench_oneshot, bench_cached, bench_parallel_pair
+    targets = bench_oneshot, bench_cached, bench_varsaw_chain, bench_parallel_pair
 }
 criterion_main!(reconstruction);

@@ -46,9 +46,10 @@ impl Pmf {
             probs.iter().all(|&p| p >= 0.0),
             "negative probability in PMF"
         );
-        assert!(probs.iter().sum::<f64>() > 0.0, "PMF has zero total mass");
+        let total: f64 = probs.iter().sum();
+        assert!(total > 0.0, "PMF has zero total mass");
         let mut pmf = Pmf { qubits, probs };
-        pmf.normalize();
+        pmf.scale_to_unit(total);
         pmf
     }
 
@@ -96,6 +97,11 @@ impl Pmf {
     pub fn normalize(&mut self) {
         let total: f64 = self.probs.iter().sum();
         assert!(total > 0.0, "cannot normalize a zero PMF");
+        self.scale_to_unit(total);
+    }
+
+    /// Divides by `total` (the current mass), unless it is already unit.
+    fn scale_to_unit(&mut self, total: f64) {
         if (total - 1.0).abs() > 1e-15 {
             self.probs.iter_mut().for_each(|p| *p /= total);
         }
@@ -146,17 +152,31 @@ impl Pmf {
     /// Panics if some qubit of `sub` is not measured by this PMF or `sub`
     /// repeats a qubit.
     pub fn marginal(&self, sub: &[usize]) -> Pmf {
-        // Resolve the bit positions once; per-outcome `project_outcome`
-        // would rescan the qubit list for every one of the 2^n outcomes.
-        let positions = self.projection_positions(sub);
-        let mut probs = vec![0.0; 1usize << sub.len()];
-        for (x, &p) in self.probs.iter().enumerate() {
-            let mut key = 0usize;
-            for (j, &pos) in positions.iter().enumerate() {
-                key |= ((x >> pos) & 1) << j;
+        let probs = if sub == self.qubits.as_slice() {
+            // The identity projection: every outcome is its own key.
+            self.probs.iter().map(|&p| 0.0 + p).collect()
+        } else {
+            // Resolve the bit positions once; per-outcome
+            // `project_outcome` would rescan the qubit list for every one
+            // of the 2^n outcomes. An outcome index has at most
+            // `usize::BITS` bits, so the positions fit on the stack.
+            let mut positions = [0; usize::BITS as usize];
+            for (slot, &q) in positions.iter_mut().zip(sub) {
+                *slot = self
+                    .position_of(q)
+                    .unwrap_or_else(|| panic!("qubit {q} not in PMF"));
             }
-            probs[key] += p;
-        }
+            let positions = &positions[..sub.len()];
+            let mut probs = vec![0.0; 1usize << sub.len()];
+            for (x, &p) in self.probs.iter().enumerate() {
+                let mut key = 0usize;
+                for (j, &pos) in positions.iter().enumerate() {
+                    key |= ((x >> pos) & 1) << j;
+                }
+                probs[key] += p;
+            }
+            probs
+        };
         Pmf::new(sub.to_vec(), probs)
     }
 

@@ -1,27 +1,32 @@
 //! The Bayesian-reconstruction engine: allocation-free, key-cached, and
 //! optionally parallel.
 //!
-//! [`reconstruct`](crate::reconstruct) is the second-hottest kernel in the
-//! workspace (`reconstruction/bayesian_8q_7windows`): both VQE evaluators
-//! re-run it per basis group per tuner iteration, yet the expensive parts
-//! of each update — resolving where every local qubit sits inside the
-//! global outcome index and projecting all `2^n` outcomes onto the window
-//! — depend only on the *(global-qubits, local-qubits)* geometry, which
-//! never changes across iterations. [`Reconstructor`] exploits that:
+//! [`reconstruct`](crate::reconstruct) is the hottest classical kernel of
+//! a VarSaw evaluation (`reconstruction/varsaw_h2o8_chain`): both VQE
+//! evaluators re-run it per basis group per tuner iteration, yet the
+//! expensive parts of each update — resolving where every local qubit
+//! sits inside the global outcome index and projecting all `2^n` outcomes
+//! onto the window — depend only on the *(global-qubits, local-qubits)*
+//! geometry, which never changes across iterations. [`Reconstructor`]
+//! exploits that:
 //!
 //! - **Key caching.** The `2^n`-entry projection-key table of every
 //!   (global, local) signature is computed once and cached; later sweeps
 //!   reuse it with a cheap signature lookup.
-//! - **Fused, allocation-free sweeps.** Each Bayesian update is three
-//!   passes over the outcome array — marginal-accumulate, reweight (which
-//!   also accumulates the post-update mass), and a conditional normalize —
-//!   on preallocated scratch. No intermediate [`Pmf`]s, marginals, or
-//!   ratio vectors are constructed per call.
-//! - **Parallel marginal reduction.** For large globals the outcome range
-//!   is partitioned into fixed-size chunks; scoped workers (from
-//!   `crates/parallel`, behind the same [`Parallelism`] seam the
-//!   statevector engine uses) accumulate per-chunk partial marginal
-//!   histograms that are reduced in chunk order before the reweight pass.
+//! - **One fused pass per update.** Each Bayesian update reweights the
+//!   outcome array in place and, in the same pass, sums the reweighted
+//!   outcomes into the post-update mass *and* into the next update's
+//!   marginal partials. When normalization fires, the divide pass
+//!   re-accumulates those partials instead. Only the first update, an
+//!   update after a skipped one, and a change of chunk grid between
+//!   consecutive windows need a standalone marginal pass. No
+//!   intermediate [`Pmf`]s, marginals, or ratio vectors are built per
+//!   call, and the serial path allocates nothing per update.
+//! - **Parallel chunks.** The outcome range is split into fixed-size
+//!   chunks; scoped workers (from `crates/parallel`, behind the same
+//!   [`Parallelism`] seam the statevector engine uses) each own a
+//!   contiguous run of whole chunks as plain `&mut [f64]`, and the caller
+//!   reduces the per-chunk partials and masses in chunk order.
 //!
 //! # Bit-identical results
 //!
@@ -29,25 +34,19 @@
 //! output PMFs: the chunk grid is a pure function of the problem shape
 //! (outcome count and window size), never of the worker count, so the
 //! floating-point reduction order is fixed and the partition only changes
-//! *which thread* computes a partial, never the arithmetic. For globals
-//! that fit in a single chunk (up to 12 qubits) the kernel is additionally
-//! bit-identical to a textbook sequential implementation; beyond that the
-//! chunk-ordered marginal reduction re-associates sums and agreement is
-//! within floating-point tolerance instead. The property tests in
-//! `tests/recon_equiv.rs` (mirroring `qsim/tests/parallel_equiv.rs`)
-//! assert exact equality across qubit counts, window sizes, rounds, and
-//! thread counts.
-//!
-//! Because the workspace denies `unsafe`, workers share the outcome array
-//! and scratch as planes of [`AtomicU64`] `f64` bit patterns — relaxed
-//! loads and stores compile to plain moves, every phase's write set is
-//! disjoint across workers by construction, and a
-//! [`parallel::SpinBarrier`] provides the ordering edges between phases.
+//! *which thread* computes a partial, never the arithmetic. Fusing a
+//! marginal into the previous update's pass keeps every addition in the
+//! same order, because it sums the same final values over the same chunk
+//! grid. For globals that fit in a single chunk (up to 12 qubits) the
+//! kernel is additionally bit-identical to a textbook sequential
+//! implementation; beyond that the chunk-ordered marginal reduction
+//! re-associates sums and agreement is within floating-point tolerance
+//! instead. The property tests in `tests/recon_equiv.rs` assert exact
+//! equality across qubit counts, window sizes, rounds, and thread counts.
 
 use crate::bayes::ReconstructionConfig;
 use crate::pmf::Pmf;
 use parallel::Parallelism;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Outcomes per partition chunk. Fixed (never derived from the worker
 /// count) so the chunk grid — and with it the floating-point reduction
@@ -78,30 +77,134 @@ fn chunk_count(dim: usize, k: usize) -> usize {
     (dim / CHUNK_OUTCOMES).max(1).min((dim / k).max(1))
 }
 
-#[inline]
-fn load(a: &AtomicU64) -> f64 {
-    f64::from_bits(a.load(Ordering::Relaxed))
+/// How a pass rescales each outcome in place.
+#[derive(Clone, Copy)]
+enum Scale<'a> {
+    /// Leaves outcomes unchanged: a standalone marginal pass.
+    Keep,
+    /// Multiplies outcome `x` by `ratio[keys[x]]`: the Bayesian reweight.
+    Ratio { keys: &'a [u32], ratio: &'a [f64] },
+    /// Divides by the post-reweight mass: normalization.
+    Divide(f64),
 }
 
-#[inline]
-fn store(a: &AtomicU64, v: f64) {
-    a.store(v.to_bits(), Ordering::Relaxed);
+/// A window whose marginal a pass accumulates: its projection keys and
+/// outcome count (the partials hold `k` slots per chunk).
+#[derive(Clone, Copy)]
+struct Window<'a> {
+    keys: &'a [u32],
+    k: usize,
 }
 
-/// Grows an atomic scratch buffer to at least `len` slots.
-fn ensure(buf: &mut Vec<AtomicU64>, len: usize) {
-    if buf.len() < len {
-        buf.resize_with(len, || AtomicU64::new(0));
+/// One pass over the outcome plane on a fixed chunk grid: rescale every
+/// outcome, record each chunk's rescaled mass and, optionally, each
+/// chunk's partial marginal of `window` over the rescaled outcomes.
+#[derive(Clone, Copy)]
+struct Pass<'a> {
+    chunk_len: usize,
+    scale: Scale<'a>,
+    window: Option<Window<'a>>,
+}
+
+impl Pass<'_> {
+    /// Runs the pass over a contiguous run of whole chunks starting at
+    /// chunk `first`. `partials` and `totals` are the run's slices of the
+    /// chunk-major partial histograms and per-chunk masses.
+    fn run(&self, first: usize, plane: &mut [f64], partials: &mut [f64], totals: &mut [f64]) {
+        let len = self.chunk_len;
+        for (c, (chunk, total)) in plane.chunks_exact_mut(len).zip(totals).enumerate() {
+            let xs = (first + c) * len..(first + c + 1) * len;
+            let acc = self
+                .window
+                .map(|w| (&w.keys[xs.clone()], &mut partials[c * w.k..(c + 1) * w.k]));
+            *total = match self.scale {
+                Scale::Keep => rescale_chunk(chunk, |_, p| p, acc),
+                Scale::Ratio { keys, ratio } => {
+                    let keys = &keys[xs];
+                    rescale_chunk(chunk, |i, p| p * ratio[keys[i] as usize], acc)
+                }
+                Scale::Divide(t) => rescale_chunk(chunk, |_, p| p / t, acc),
+            };
+        }
     }
+}
+
+/// The kernel every pass runs per chunk: `p = scale(i, p)` for each
+/// outcome in order, summing the new values into the returned chunk mass
+/// and, given `acc = (keys, part)`, into `part[keys[i]]` (zeroed first).
+#[inline(always)]
+fn rescale_chunk(
+    chunk: &mut [f64],
+    scale: impl Fn(usize, f64) -> f64,
+    acc: Option<(&[u32], &mut [f64])>,
+) -> f64 {
+    let mut t = 0.0;
+    match acc {
+        Some((keys, part)) => {
+            part.fill(0.0);
+            for (i, (p, &key)) in chunk.iter_mut().zip(keys).enumerate() {
+                let v = scale(i, *p);
+                *p = v;
+                t += v;
+                part[key as usize] += v;
+            }
+        }
+        None => {
+            for (i, p) in chunk.iter_mut().enumerate() {
+                let v = scale(i, *p);
+                *p = v;
+                t += v;
+            }
+        }
+    }
+    t
+}
+
+/// Runs `pass` over `chunks` chunks of `plane` on up to `workers` scoped
+/// threads, each owning a contiguous run of whole chunks. One worker runs
+/// on the calling thread with no allocation.
+fn dispatch(
+    pass: Pass<'_>,
+    workers: usize,
+    chunks: usize,
+    plane: &mut [f64],
+    partials: &mut [f64],
+    totals: &mut [f64],
+) {
+    let k = pass.window.map_or(0, |w| w.k);
+    let mut partials = &mut partials[..chunks * k];
+    let mut totals = &mut totals[..chunks];
+    let workers = workers.min(chunks);
+    if workers == 1 {
+        pass.run(0, plane, partials, totals);
+        return;
+    }
+    let mut plane = plane;
+    let mut runs = Vec::with_capacity(workers);
+    for w in 0..workers {
+        let r = parallel::worker_range(chunks, workers, w);
+        let (p, rest) = std::mem::take(&mut plane).split_at_mut(r.len() * pass.chunk_len);
+        plane = rest;
+        let (q, rest) = std::mem::take(&mut partials).split_at_mut(r.len() * k);
+        partials = rest;
+        let (t, rest) = std::mem::take(&mut totals).split_at_mut(r.len());
+        totals = rest;
+        runs.push((r.start, p, q, t));
+    }
+    parallel::for_each_chunk_mut(&mut runs, workers, |_, runs| {
+        for (first, p, q, t) in runs {
+            pass.run(*first, p, q, t);
+        }
+    });
 }
 
 /// A reusable Bayesian-reconstruction engine: the `2^n`-entry
 /// projection-key table of every (global-qubits, local-qubits) signature
-/// is computed once and cached, sweeps run as fused allocation-free
-/// passes over preallocated scratch (no intermediate [`Pmf`]s), and large
-/// globals reduce per-chunk partial marginal histograms on scoped worker
-/// threads behind the same [`Parallelism`] seam the statevector engine
-/// uses.
+/// is computed once and cached, each update runs as one fused in-place
+/// pass (plus a divide pass when normalization fires) over preallocated
+/// scratch (no intermediate [`Pmf`]s), and large globals split into
+/// chunks processed on scoped worker threads behind the same
+/// [`Parallelism`] seam the statevector engine uses.
 ///
 /// One `Reconstructor` should persist wherever reconstruction repeats
 /// with the same measurement geometry — `varsaw`'s evaluators keep one
@@ -137,14 +240,12 @@ pub struct Reconstructor {
     tables: Vec<KeyTable>,
     /// Table index per local of the sweep in progress (reused scratch).
     order: Vec<usize>,
-    // Sweep scratch, shared across scoped workers as `f64` bit patterns.
-    plane: Vec<AtomicU64>,
-    partials: Vec<AtomicU64>,
-    marg: Vec<AtomicU64>,
-    ratio: Vec<AtomicU64>,
-    totals: Vec<AtomicU64>,
-    total: AtomicU64,
-    skip: AtomicU64,
+    // Sweep scratch: chunk-major partial marginals, per-chunk masses, and
+    // the reduced marginal and ratio of the update in progress.
+    partials: Vec<f64>,
+    totals: Vec<f64>,
+    marg: Vec<f64>,
+    ratio: Vec<f64>,
 }
 
 impl Default for Reconstructor {
@@ -158,16 +259,8 @@ impl Clone for Reconstructor {
     /// is transient and starts empty in the clone.
     fn clone(&self) -> Self {
         Reconstructor {
-            parallelism: self.parallelism,
             tables: self.tables.clone(),
-            order: Vec::new(),
-            plane: Vec::new(),
-            partials: Vec::new(),
-            marg: Vec::new(),
-            ratio: Vec::new(),
-            totals: Vec::new(),
-            total: AtomicU64::new(0),
-            skip: AtomicU64::new(0),
+            ..Reconstructor::new().with_parallelism(self.parallelism)
         }
     }
 }
@@ -180,16 +273,12 @@ impl Reconstructor {
             parallelism: Parallelism::Auto,
             tables: Vec::new(),
             order: Vec::new(),
-            plane: Vec::new(),
             partials: Vec::new(),
+            totals: Vec::new(),
             marg: Vec::new(),
             ratio: Vec::new(),
-            totals: Vec::new(),
-            total: AtomicU64::new(0),
-            skip: AtomicU64::new(0),
         }
     }
-
     /// Sets how sweeps spread across threads (default
     /// [`Parallelism::Auto`]: threaded from 2¹⁵ outcomes up). The choice
     /// never changes results — all dispatch modes are bit-identical.
@@ -262,180 +351,131 @@ impl Reconstructor {
         let _span = telemetry::span(telemetry::Stage::Reconstruction);
         let dim = output.probs().len();
 
-        // Resolve (and on first sight, build) every local's key table up
-        // front: cache insertion needs `&mut self`, while the worker
-        // scope below only shares `&self`-reachable state.
         self.order.clear();
         for local in locals {
             let idx = self.table_index(output, local);
             self.order.push(idx);
         }
-
-        let k_max = locals
-            .iter()
-            .map(|l| l.probs().len())
-            .max()
-            .expect("nonempty");
-        let chunks_max = locals
-            .iter()
-            .map(|l| chunk_count(dim, l.probs().len()))
-            .max()
-            .expect("nonempty");
-        let partial_max = locals
-            .iter()
-            .map(|l| chunk_count(dim, l.probs().len()) * l.probs().len())
-            .max()
-            .expect("nonempty");
-        ensure(&mut self.plane, dim);
-        ensure(&mut self.marg, k_max);
-        ensure(&mut self.ratio, k_max);
-        ensure(&mut self.partials, partial_max);
-        ensure(&mut self.totals, chunks_max);
-
-        // Stage the outcome probabilities into the shared plane.
-        for (x, &p) in output.probs().iter().enumerate() {
-            store(&self.plane[x], p);
-        }
+        // `resize` keeps the capacity, so only the first sweep of a
+        // geometry allocates.
+        let shapes = locals.iter().map(|l| {
+            let k = l.probs().len();
+            (k, chunk_count(dim, k))
+        });
+        let k_max = shapes.clone().map(|(k, _)| k).max().expect("nonempty");
+        let chunks_max = shapes.clone().map(|(_, c)| c).max().expect("nonempty");
+        let partial_max = shapes.map(|(k, c)| k * c).max().expect("nonempty");
+        self.partials.resize(partial_max, 0.0);
+        self.totals.resize(chunks_max, 0.0);
+        self.marg.resize(k_max, 0.0);
+        self.ratio.resize(k_max, 0.0);
 
         let workers = self.resolve_workers(dim);
-        let barrier = parallel::SpinBarrier::new(workers);
-        let tables = &self.tables;
-        let order = &self.order;
-        let plane = &self.plane;
-        let partials = &self.partials;
-        let marg = &self.marg;
-        let ratio = &self.ratio;
-        let totals = &self.totals;
-        let total = &self.total;
-        let skip = &self.skip;
-        let epsilon = config.epsilon;
+        let Reconstructor {
+            tables,
+            order,
+            partials,
+            totals,
+            marg,
+            ratio,
+            ..
+        } = self;
+        let window = |li: usize| Window {
+            keys: &tables[order[li]].keys[..dim],
+            k: locals[li].probs().len(),
+        };
+        let plane = output.probs_mut();
+        let steps = config.rounds * locals.len();
+        // Whether `partials` already holds the marginal of the update
+        // about to run (accumulated by the previous update's last pass).
+        let mut primed = false;
+        for step in 0..steps {
+            let li = step % locals.len();
+            let lp = locals[li].probs();
+            let win = window(li);
+            let k = win.k;
+            let chunks = chunk_count(dim, k);
+            let pass = |scale, window| Pass {
+                chunk_len: dim / chunks,
+                scale,
+                window,
+            };
+            if !primed {
+                let marginal = pass(Scale::Keep, Some(win));
+                dispatch(marginal, workers, chunks, plane, partials, totals);
+            }
 
-        parallel::scope_workers(workers, |w| {
-            for _ in 0..config.rounds {
-                for (li, local) in locals.iter().enumerate() {
-                    let keys = &tables[order[li]].keys[..dim];
-                    let lp = local.probs();
-                    let k = lp.len();
-                    let n_chunks = chunk_count(dim, k);
-                    let chunk_len = dim / n_chunks;
-                    // Workers beyond the chunk count get empty ranges and
-                    // only participate in the barriers.
-                    let my = parallel::worker_range(n_chunks, workers, w);
-
-                    // Phase A: per-chunk partial marginal histograms.
-                    for c in my.clone() {
-                        let part = &partials[c * k..(c + 1) * k];
-                        for slot in part {
-                            store(slot, 0.0);
-                        }
-                        for x in c * chunk_len..(c + 1) * chunk_len {
-                            let j = keys[x] as usize;
-                            store(&part[j], load(&part[j]) + load(&plane[x]));
-                        }
-                    }
-                    barrier.wait();
-
-                    if w == 0 {
-                        // Reduce the partials in fixed chunk order, then
-                        // compute the guarded ratios. The update is Bayes
-                        // conditioned on the prior's support: window
-                        // outcomes whose prior marginal is at or below
-                        // epsilon keep their mass *exactly* (ratio 1 with
-                        // the evidence renormalized around them), so
-                        // near-zero prior mass is neither amplified by up
-                        // to local/epsilon nor eroded by normalization
-                        // drift, however many rounds run. If the prior
-                        // supports no outcome carrying local evidence the
-                        // update is skipped — reweighting would
-                        // annihilate all mass.
-                        for j in 0..k {
-                            let mut s = 0.0;
-                            for c in 0..n_chunks {
-                                s += load(&partials[c * k + j]);
-                            }
-                            store(&marg[j], s);
-                        }
-                        // Unsupported prior mass (frozen) and the local
-                        // evidence mass on supported outcomes.
-                        let mut unsupported = 0.0;
-                        let mut supported_evidence = 0.0;
-                        for j in 0..k {
-                            let m = load(&marg[j]);
-                            if m > epsilon {
-                                supported_evidence += lp[j];
-                            } else {
-                                unsupported += m;
-                            }
-                        }
-                        if supported_evidence > 0.0 {
-                            let scale = (1.0 - unsupported) / supported_evidence;
-                            for j in 0..k {
-                                let m = load(&marg[j]);
-                                let r = if m > epsilon { lp[j] * scale / m } else { 1.0 };
-                                store(&ratio[j], r);
-                            }
-                        }
-                        skip.store(u64::from(supported_evidence <= 0.0), Ordering::Relaxed);
-                    }
-                    barrier.wait();
-                    // Every worker reads the same flag after the barrier,
-                    // so the remaining barrier sequence stays uniform.
-                    if skip.load(Ordering::Relaxed) != 0 {
-                        continue;
-                    }
-
-                    // Phase B: reweight, accumulating per-chunk masses.
-                    for c in my.clone() {
-                        let mut t = 0.0;
-                        for x in c * chunk_len..(c + 1) * chunk_len {
-                            let p = load(&plane[x]) * load(&ratio[keys[x] as usize]);
-                            store(&plane[x], p);
-                            t += p;
-                        }
-                        store(&totals[c], t);
-                    }
-                    barrier.wait();
-
-                    if w == 0 {
-                        let mut t = 0.0;
-                        for c in 0..n_chunks {
-                            t += load(&totals[c]);
-                        }
-                        store(total, t);
-                    }
-                    barrier.wait();
-
-                    // Phase C: normalize, mirroring `Pmf::normalize`'s
-                    // skip of already-unit mass. Every worker reads the
-                    // same total, so the branch stays uniform.
-                    let t = load(total);
-                    if (t - 1.0).abs() > 1e-15 {
-                        for c in my {
-                            for x in c * chunk_len..(c + 1) * chunk_len {
-                                store(&plane[x], load(&plane[x]) / t);
-                            }
-                        }
-                    }
-                    // Trailing barrier: consecutive locals can use
-                    // *different* chunk grids (window size caps the chunk
-                    // count), shifting worker boundaries in outcome space
-                    // — the next phase A may read plane entries this
-                    // update's phase C wrote on another worker.
-                    barrier.wait();
+            // Reduce the partials in fixed chunk order, then compute the
+            // guarded ratios. The update is Bayes conditioned on the
+            // prior's support: window outcomes whose prior marginal is at
+            // or below epsilon keep their mass *exactly* (ratio 1 with
+            // the evidence renormalized around them), so near-zero prior
+            // mass is neither amplified by up to local/epsilon nor eroded
+            // by normalization drift, however many rounds run. If the
+            // prior supports no outcome carrying local evidence the update
+            // is skipped — reweighting would annihilate all mass.
+            for (j, m) in marg[..k].iter_mut().enumerate() {
+                let mut s = 0.0;
+                for c in 0..chunks {
+                    s += partials[c * k + j];
+                }
+                *m = s;
+            }
+            // Unsupported prior mass (frozen) and the local evidence mass
+            // on supported outcomes.
+            let mut unsupported = 0.0;
+            let mut supported_evidence = 0.0;
+            for (&m, &l) in marg[..k].iter().zip(lp) {
+                if m > config.epsilon {
+                    supported_evidence += l;
+                } else {
+                    unsupported += m;
                 }
             }
-        });
+            if supported_evidence <= 0.0 {
+                primed = false;
+                continue;
+            }
+            let scale = (1.0 - unsupported) / supported_evidence;
+            for ((r, &m), &l) in ratio[..k].iter_mut().zip(&marg[..k]).zip(lp) {
+                *r = if m > config.epsilon {
+                    l * scale / m
+                } else {
+                    1.0
+                };
+            }
 
-        for (x, p) in output.probs_mut().iter_mut().enumerate() {
-            *p = load(&self.plane[x]);
+            // The next update's marginal rides along when it shares this
+            // update's chunk grid (a wide window can cap its grid).
+            let next = (step + 1 < steps)
+                .then(|| window((step + 1) % locals.len()))
+                .filter(|w| chunk_count(dim, w.k) == chunks);
+            let reweight = pass(
+                Scale::Ratio {
+                    keys: win.keys,
+                    ratio: &ratio[..k],
+                },
+                next,
+            );
+            dispatch(reweight, workers, chunks, plane, partials, totals);
+            let t = totals[..chunks].iter().fold(0.0, |t, &c| t + c);
+            // Normalize, mirroring `Pmf::normalize`'s skip of already-unit
+            // mass; the partials are then re-accumulated from the
+            // normalized values.
+            if (t - 1.0).abs() > 1e-15 {
+                let divide = pass(Scale::Divide(t), next);
+                dispatch(divide, workers, chunks, plane, partials, totals);
+            }
+            primed = next.is_some();
         }
     }
 
     /// The cached key-table index for the (global, local) signature,
-    /// building the table on first sight.
+    /// building the table on first sight. The short local qubit list is
+    /// compared first, so a miss rarely touches the global list.
     fn table_index(&mut self, global: &Pmf, local: &Pmf) -> usize {
         if let Some(i) = self.tables.iter().position(|t| {
-            t.global.as_slice() == global.qubits() && t.local.as_slice() == local.qubits()
+            t.local.as_slice() == local.qubits() && t.global.as_slice() == global.qubits()
         }) {
             return i;
         }
@@ -577,7 +617,7 @@ mod tests {
         );
         let c = r.clone();
         assert_eq!(c.cached_key_tables(), 1);
-        assert!(c.plane.is_empty());
+        assert!(c.partials.is_empty());
         assert_eq!(c.parallelism(), r.parallelism());
     }
 }

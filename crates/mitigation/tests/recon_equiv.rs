@@ -8,9 +8,10 @@
 //! (`==` on `f64`, not within a tolerance) for every input, qubit count
 //! 2–10, window size, round count, and thread count 1–8. Up to 12 qubits
 //! a global fits in a single chunk, where the kernel additionally matches
-//! the naive sequential reference bit for bit; the 13-qubit multi-chunk
-//! case re-associates the marginal reduction and is compared within
-//! floating-point tolerance instead.
+//! the naive sequential reference bit for bit; the 13/14-qubit
+//! multi-chunk cases re-associate the marginal reduction, so they are
+//! compared within floating-point tolerance against the reference and
+//! pinned bit for bit by an output checksum instead.
 
 use mitigation::{reconstruct, Parallelism, Pmf, ReconstructionConfig, Reconstructor};
 use proptest::prelude::*;
@@ -92,6 +93,19 @@ fn arb_weights(n: usize) -> impl Strategy<Value = Vec<f64>> {
             }
             w
         })
+}
+
+/// FNV-1a over the bit patterns of `probs`: pins multi-chunk outputs,
+/// where the naive reference agrees only within tolerance.
+fn checksum(probs: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for p in probs {
+        for b in p.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// The sliding window subsets `[s, s+window)` of `0..n`.
@@ -219,6 +233,11 @@ fn mixed_window_chunk_grids_are_bit_identical() {
             .reconstruct(&global, &locals, config);
         assert_eq!(serial.probs(), threaded.probs(), "{threads} threads");
     }
+    assert_eq!(
+        checksum(serial.probs()),
+        0x6043_43a0_be49_326a,
+        "output bits moved"
+    );
 }
 
 /// 13 qubits splits into two chunks: serial and threaded sweeps must stay
@@ -260,6 +279,92 @@ fn multi_chunk_sweeps_are_thread_count_independent() {
     assert!(
         reference.tvd(&serial) < 1e-12,
         "multi-chunk reduction drifted: tvd {}",
+        reference.tvd(&serial)
+    );
+    assert_eq!(
+        checksum(serial.probs()),
+        0xedea_50ad_75f7_b885,
+        "output bits moved"
+    );
+}
+
+/// Pair windows over `0..n` where the `[2, 3]` window carries evidence
+/// only on outcomes with qubit 2 set, which the prior never supports:
+/// that update is skipped mid-sweep, and the next one must compute its
+/// marginal afresh instead of reusing partials fused into an earlier
+/// pass.
+fn skip_path_case(n: usize) -> (Pmf, Vec<Pmf>) {
+    let probs: Vec<f64> = (0..1usize << n)
+        .map(|x| {
+            if x & 0b100 != 0 {
+                0.0
+            } else {
+                ((x.wrapping_mul(2654435761)) % 97 + 1) as f64
+            }
+        })
+        .collect();
+    let global = Pmf::new((0..n).collect(), probs);
+    let locals = (0..n - 1)
+        .map(|s| {
+            let probs = if s == 2 {
+                vec![0.0, 0.5, 0.0, 0.5]
+            } else {
+                vec![0.4, 0.1, 0.2, 0.3]
+            };
+            Pmf::new(vec![s, s + 1], probs)
+        })
+        .collect();
+    (global, locals)
+}
+
+/// A skipped update mid-sweep, followed by normal updates: serial,
+/// threaded and naive agree bit for bit on a single-chunk global, and
+/// the skipped window's evidence really was rejected.
+#[test]
+fn skipped_update_mid_sweep_is_bit_identical() {
+    let (global, locals) = skip_path_case(6);
+    for rounds in 1..=3 {
+        let config = ReconstructionConfig {
+            epsilon: 1e-9,
+            rounds,
+        };
+        let reference = naive_reconstruct(&global, &locals, config);
+        let serial = Reconstructor::new()
+            .with_parallelism(Parallelism::Serial)
+            .reconstruct(&global, &locals, config);
+        assert_eq!(reference.probs(), serial.probs(), "naive vs serial");
+        for threads in [2usize, 3, 8] {
+            let threaded = Reconstructor::new()
+                .with_parallelism(Parallelism::Threads(threads))
+                .reconstruct(&global, &locals, config);
+            assert_eq!(serial.probs(), threaded.probs(), "{threads} threads");
+        }
+        assert_eq!(serial.marginal(&[2]).prob(1), 0.0, "unsupported mass moved");
+    }
+}
+
+/// The same skip path on a two-chunk global: serial and threaded agree
+/// bit for bit, the naive reference within tolerance.
+#[test]
+fn skipped_update_on_multi_chunk_global_is_thread_count_independent() {
+    let (global, locals) = skip_path_case(13);
+    let config = ReconstructionConfig {
+        epsilon: 1e-9,
+        rounds: 2,
+    };
+    let serial = Reconstructor::new()
+        .with_parallelism(Parallelism::Serial)
+        .reconstruct(&global, &locals, config);
+    for threads in [2usize, 3] {
+        let threaded = Reconstructor::new()
+            .with_parallelism(Parallelism::Threads(threads))
+            .reconstruct(&global, &locals, config);
+        assert_eq!(serial.probs(), threaded.probs(), "{threads} threads");
+    }
+    let reference = naive_reconstruct(&global, &locals, config);
+    assert!(
+        reference.tvd(&serial) < 1e-12,
+        "tvd {}",
         reference.tvd(&serial)
     );
 }

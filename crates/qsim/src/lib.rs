@@ -77,5 +77,5 @@ pub use sampler::sample_counts;
 pub use shard::{ShardedState, Sharding};
 pub use state::{CapacityError, Statevector};
 pub use transport::{
-    FaultInjection, FaultSchedule, TransportCounters, TransportError, TransportMode,
+    FaultInjection, FaultSchedule, RankGauge, TransportCounters, TransportError, TransportMode,
 };

@@ -6,7 +6,8 @@
 //! data-dependent search:
 //!
 //! - up to [`SMALL`] outcomes (subset circuits), the index is the
-//!   branch-free count of CDF entries `<= u`;
+//!   branch-free count of CDF entries `<= u`, tallied per CDF entry in
+//!   registers and turned into counts once after the last shot;
 //! - above that (Global circuits), a guide table (Chen & Asau's indexed
 //!   search) maps `floor(r · B)` for `B` power-of-two buckets to the
 //!   first outcome that can hold the answer; one branch-free step and a
@@ -67,10 +68,24 @@ pub fn sample_counts<R: Rng + ?Sized>(probs: &[f64], shots: u64, rng: &mut R) ->
         // Entries past the distribution are never `<= u`.
         let mut padded = [f64::INFINITY; SMALL];
         padded[..cdf.len()].copy_from_slice(&cdf);
+        // `at_least[j]` counts the shots whose draw passed CDF entry `j`.
+        // The CDF is nondecreasing, so a shot passes exactly its first
+        // `i` entries when it draws index `i`, and the shots drawing `i`
+        // number `at_least[i - 1] - at_least[i]` (with `shots` before
+        // index 0 and zero past the end). The counters stay in
+        // registers, so the shot loop stores nothing to memory.
+        let mut at_least = [0u64; SMALL];
         for _ in 0..shots {
             let u = rng.random::<f64>() * total;
-            let below: usize = padded.iter().map(|&c| usize::from(c <= u)).sum();
-            counts[below.min(last)] += 1;
+            for (n, &c) in at_least.iter_mut().zip(&padded) {
+                *n += u64::from(c <= u);
+            }
+        }
+        let mut above = shots;
+        for i in 0..=probs.len() {
+            let here = at_least.get(i).copied().unwrap_or(0);
+            counts[i.min(last)] += above - here;
+            above = here;
         }
     } else {
         // The sentinel stops both scans below at `probs.len()`.

@@ -81,8 +81,8 @@ use crate::exec::{self, Parallelism};
 use crate::plan::{check_shards, CircuitPlan, PlanOp, ShardPlan, ShardStep};
 use crate::state::{CapacityError, Statevector};
 use crate::transport::{
-    classify_exchange, ExchangeStep, FaultInjection, FaultSchedule, LocalOps, ShardTransport,
-    TransportCounters, TransportError, TransportMode,
+    classify_exchange, ExchangeStep, FaultInjection, FaultSchedule, LocalOps, RankGauge,
+    ShardTransport, TransportCounters, TransportError, TransportMode,
 };
 
 /// How an executor decomposes statevector simulation across amplitude
@@ -163,6 +163,8 @@ pub struct ShardedState {
     /// Transport sessions opened so far — the schedule's session index.
     session: u64,
     counters: TransportCounters,
+    /// Rank threads this state's sessions have spawned and not joined.
+    ranks: RankGauge,
     /// Set when a transport session failed mid-plan: the shard contents
     /// are no longer a coherent state, so further use is refused.
     poisoned: bool,
@@ -229,6 +231,7 @@ impl ShardedState {
             stream: 0,
             session: 0,
             counters: TransportCounters::default(),
+            ranks: RankGauge::new(),
             poisoned: false,
         })
     }
@@ -259,6 +262,7 @@ impl ShardedState {
             stream: 0,
             session: 0,
             counters: TransportCounters::default(),
+            ranks: RankGauge::new(),
             poisoned: false,
         }
     }
@@ -298,6 +302,20 @@ impl ShardedState {
         self.schedule = schedule;
         self.stream = stream;
         self
+    }
+
+    /// Reports this state's rank threads into `gauge` instead of its own
+    /// (e.g. one gauge across every state a supervisor builds). Clones of
+    /// a state share its gauge.
+    pub fn with_rank_gauge(mut self, gauge: RankGauge) -> Self {
+        self.ranks = gauge;
+        self
+    }
+
+    /// A handle on this state's [`RankGauge`]: rank threads its sessions
+    /// spawned and have not yet joined. The handle outlives the state.
+    pub fn rank_gauge(&self) -> RankGauge {
+        self.ranks.clone()
     }
 
     /// Whether a transport session failed mid-plan, leaving the shard
@@ -448,7 +466,8 @@ impl ShardedState {
         // spans inside `run_steps`.
         let mut session = {
             let _span = telemetry::span(telemetry::Stage::TransportExchange);
-            self.transport.connect(shards, local_bits, &fault)?
+            self.transport
+                .connect(shards, local_bits, &fault, &self.ranks)?
         };
         let run = run_steps(session.as_mut(), sp, local_bits, nshards, workers);
         self.counters.merge(&session.counters());

@@ -49,14 +49,17 @@
 //! Every backend tallies its movement in [`TransportCounters`]
 //! (exchanges, plane swaps, sub-splits, messages, bytes moved), surfaced
 //! through `ShardedState::shard_stats` so benches and experiments can
-//! report movement volume per backend honestly.
+//! report movement volume per backend honestly. A [`RankGauge`] counts
+//! the rank threads a state's sessions have spawned and not yet joined,
+//! so leak checks read a per-state number instead of the process-wide
+//! thread count.
 
 use crate::complex::C64;
 use crate::exec::{self, QuadKernel};
 use crate::plan::PlanOp;
 use crate::state::words;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -164,6 +167,63 @@ impl TransportCounters {
     }
 }
 
+/// A live count of rank threads, shared by cloning the handle.
+///
+/// [`ChannelRanks`] raises the gauge for every `varsaw-rank-N` thread it
+/// spawns and lowers it as each thread is joined; [`LocalSwap`] owns no
+/// threads and never touches it. Every `ShardedState` reports into one
+/// (its own by default, see `ShardedState::rank_gauge`), and the handle
+/// outlives the state, so `live() == 0` after the state is gone proves
+/// its sessions leaked no rank thread — unaffected by threads other
+/// code in the process starts or stops meanwhile.
+///
+/// ```
+/// use qsim::{Circuit, CircuitPlan, ShardedState, TransportMode};
+///
+/// let mut c = Circuit::new(4);
+/// c.h(0).cx(0, 3);
+/// let mut st = ShardedState::zero(4, 2).with_transport(TransportMode::Channel);
+/// let gauge = st.rank_gauge();
+/// st.apply_plan(&CircuitPlan::compile(&c));
+/// drop(st);
+/// assert_eq!(gauge.spawned(), 2);
+/// assert_eq!(gauge.live(), 0);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct RankGauge(Arc<RankCounts>);
+
+#[derive(Debug, Default)]
+struct RankCounts {
+    live: AtomicUsize,
+    spawned: AtomicU64,
+}
+
+impl RankGauge {
+    /// A gauge reading zero, shared with nothing yet.
+    pub fn new() -> Self {
+        RankGauge::default()
+    }
+
+    /// Rank threads spawned and not yet joined.
+    pub fn live(&self) -> usize {
+        self.0.live.load(Ordering::SeqCst)
+    }
+
+    /// Rank threads ever spawned under this gauge.
+    pub fn spawned(&self) -> u64 {
+        self.0.spawned.load(Ordering::SeqCst)
+    }
+
+    fn rise(&self) {
+        self.0.live.fetch_add(1, Ordering::SeqCst);
+        self.0.spawned.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn fall(&self) {
+        self.0.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Which transport backend a sharded state moves amplitudes with.
 ///
 /// The process default comes from the `VARSAW_SHARD_TRANSPORT`
@@ -201,18 +261,19 @@ impl TransportMode {
     }
 
     /// Opens a transport session owning `shards` (moved in; recovered by
-    /// [`ShardTransport::finish`]).
+    /// [`ShardTransport::finish`]). Rank threads report into `ranks`.
     pub(crate) fn connect(
         self,
         shards: Vec<Vec<C64>>,
         local_bits: usize,
         fault: &FaultInjection,
+        ranks: &RankGauge,
     ) -> Result<Box<dyn ShardTransport>, TransportError> {
         match self {
             TransportMode::Local => Ok(Box::new(LocalSwap::with_fault(shards, local_bits, fault))),
-            TransportMode::Channel => {
-                Ok(Box::new(ChannelRanks::connect(shards, local_bits, fault)?))
-            }
+            TransportMode::Channel => Ok(Box::new(ChannelRanks::connect(
+                shards, local_bits, fault, ranks,
+            )?)),
         }
     }
 }
@@ -924,6 +985,8 @@ pub struct ChannelRanks {
     data_tx: Vec<SyncSender<DataMsg>>,
     done_rx: Receiver<(usize, Result<(), TransportError>)>,
     handles: Vec<Option<JoinHandle<(usize, Vec<C64>)>>>,
+    /// Raised per spawned rank thread, lowered per joined one.
+    ranks: RankGauge,
     abort: Arc<AtomicBool>,
     counters: TransportCounters,
     failed: Option<TransportError>,
@@ -942,11 +1005,13 @@ impl fmt::Debug for ChannelRanks {
 }
 
 impl ChannelRanks {
-    /// Spawns one rank thread per shard and hands each its shard buffer.
+    /// Spawns one rank thread per shard and hands each its shard buffer,
+    /// counting every thread in `ranks` until it is joined.
     pub fn connect(
         shards: Vec<Vec<C64>>,
         local_bits: usize,
         fault: &FaultInjection,
+        ranks: &RankGauge,
     ) -> Result<Self, TransportError> {
         let nshards = shards.len();
         let shard_len = 1usize << local_bits;
@@ -965,33 +1030,35 @@ impl ChannelRanks {
             endpoints.push((crx, drx));
         }
 
-        let mut handles = Vec::with_capacity(nshards);
-        for (rank, (shard, (crx, drx))) in shards.into_iter().zip(endpoints).enumerate() {
-            let done = done_tx.clone();
-            let fault = Arc::clone(&fault);
-            let abort = Arc::clone(&abort);
-            let handle = std::thread::Builder::new()
-                .name(format!("varsaw-rank-{rank}"))
-                .spawn(move || rank_main(rank, shard, crx, drx, done, fault, abort))
-                .map_err(|_| TransportError::Disconnected {
-                    rank,
-                    step: "rank spawn",
-                })?;
-            handles.push(Some(handle));
-        }
-
-        Ok(ChannelRanks {
+        let mut session = ChannelRanks {
             nshards,
             rank_of_shard: (0..nshards).collect(),
             cmd_tx,
             data_tx,
             done_rx,
-            handles,
+            handles: Vec::with_capacity(nshards),
+            ranks: ranks.clone(),
             abort,
             counters: TransportCounters::default(),
             failed: None,
             shard_len,
-        })
+        };
+        for (rank, (shard, (crx, drx))) in shards.into_iter().zip(endpoints).enumerate() {
+            let done = done_tx.clone();
+            let fault = Arc::clone(&fault);
+            let abort = Arc::clone(&session.abort);
+            let handle = std::thread::Builder::new()
+                .name(format!("varsaw-rank-{rank}"))
+                .spawn(move || rank_main(rank, shard, crx, drx, done, fault, abort))
+                // Dropping the partial session joins the ranks already up.
+                .map_err(|_| TransportError::Disconnected {
+                    rank,
+                    step: "rank spawn",
+                })?;
+            session.ranks.rise();
+            session.handles.push(Some(handle));
+        }
+        Ok(session)
     }
 
     /// Fails the session: poisons further steps and flips the abort flag
@@ -1081,7 +1148,9 @@ impl ChannelRanks {
         let mut out = Vec::with_capacity(self.handles.len());
         for handle in &mut self.handles {
             if let Some(h) = handle.take() {
-                if let Ok(pair) = h.join() {
+                let joined = h.join();
+                self.ranks.fall();
+                if let Ok(pair) = joined {
                     out.push(pair);
                 }
             }
@@ -1529,8 +1598,10 @@ mod tests {
         let mut local: Box<dyn ShardTransport> = Box::new(LocalSwap::new(two_shards(), 1));
         local.exchange_pairs(1, &kernel, 2).unwrap();
         let a = local.finish().unwrap();
-        let mut chan: Box<dyn ShardTransport> =
-            Box::new(ChannelRanks::connect(two_shards(), 1, &FaultInjection::none()).unwrap());
+        let mut chan: Box<dyn ShardTransport> = Box::new(
+            ChannelRanks::connect(two_shards(), 1, &FaultInjection::none(), &RankGauge::new())
+                .unwrap(),
+        );
         chan.exchange_pairs(1, &kernel, 2).unwrap();
         let b = chan.finish().unwrap();
         assert_eq!(a, b);
@@ -1538,7 +1609,9 @@ mod tests {
 
     #[test]
     fn channel_counters_report_wire_volume() {
-        let mut chan = ChannelRanks::connect(two_shards(), 1, &FaultInjection::none()).unwrap();
+        let mut chan =
+            ChannelRanks::connect(two_shards(), 1, &FaultInjection::none(), &RankGauge::new())
+                .unwrap();
         chan.exchange_pairs(1, &h_kernel(), 1).unwrap();
         let c = chan.counters();
         assert_eq!(c.exchanges, 1);
@@ -1560,8 +1633,13 @@ mod tests {
 
     #[test]
     fn dead_rank_surfaces_a_typed_error_not_a_deadlock() {
-        let mut chan =
-            ChannelRanks::connect(two_shards(), 1, &FaultInjection::kill_rank(1)).unwrap();
+        let mut chan = ChannelRanks::connect(
+            two_shards(),
+            1,
+            &FaultInjection::kill_rank(1),
+            &RankGauge::new(),
+        )
+        .unwrap();
         let err = chan
             .exchange_pairs(1, &h_kernel(), 1)
             .expect_err("dead rank must fail the step");
@@ -1640,7 +1718,9 @@ mod tests {
 
     #[test]
     fn plane_swap_is_rank_relabeling() {
-        let mut chan = ChannelRanks::connect(two_shards(), 1, &FaultInjection::none()).unwrap();
+        let mut chan =
+            ChannelRanks::connect(two_shards(), 1, &FaultInjection::none(), &RankGauge::new())
+                .unwrap();
         chan.plane_swap(&[(0, 1)]).unwrap();
         let c = chan.counters();
         assert_eq!(c.plane_swaps, 1);

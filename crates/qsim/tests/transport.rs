@@ -208,27 +208,17 @@ fn dead_rank_fails_typed_and_poisons_the_state() {
     assert_eq!(again, TransportError::Poisoned);
 }
 
-/// The rank-thread backend leaks no threads: after states are dropped —
-/// whether their plans succeeded or a rank was killed mid-plan — the
-/// process thread count returns to its baseline. (Thread counts come
-/// from /proc, so this check runs on Linux only; the join-on-drop path
-/// it observes is platform-independent.)
+/// The rank-thread backend leaks no threads: after each state is
+/// dropped — whether its plan succeeded or a rank was killed mid-plan —
+/// its rank gauge reads zero live ranks, and it counted every rank the
+/// session spawned. The gauge belongs to the state, so rank threads of
+/// sibling tests running concurrently cannot disturb the reading.
 #[test]
-#[cfg(target_os = "linux")]
 fn rank_threads_are_joined_not_leaked() {
-    fn thread_count() -> usize {
-        let status = std::fs::read_to_string("/proc/self/status").unwrap();
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap()
-    }
     let n = 5;
     let mut ok_plan = Circuit::new(n);
     ok_plan.h(0).ry(n - 1, 0.4);
     let plan = CircuitPlan::compile(&ok_plan);
-    let before = thread_count();
     for round in 0..8 {
         let fault = if round % 2 == 0 {
             FaultInjection::none()
@@ -238,12 +228,12 @@ fn rank_threads_are_joined_not_leaked() {
         let mut st = ShardedState::zero(n, 4)
             .with_transport(TransportMode::Channel)
             .with_fault(fault);
-        let _ = st.try_apply_plan(&plan);
+        let gauge = st.rank_gauge();
+        let result = st.try_apply_plan(&plan);
+        assert_eq!(result.is_ok(), round % 2 == 0, "round {round}: {result:?}");
+        drop(st);
+        // Every session is finished or dropped: every rank thread joined.
+        assert_eq!(gauge.spawned(), 4, "round {round}: one rank per shard");
+        assert_eq!(gauge.live(), 0, "round {round}: rank threads leaked");
     }
-    // All sessions are finished or dropped: every rank thread joined.
-    let after = thread_count();
-    assert!(
-        after <= before,
-        "rank threads leaked: {before} threads before, {after} after"
-    );
 }

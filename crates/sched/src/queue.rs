@@ -5,8 +5,8 @@ use mitigation::Pmf;
 use pauli::PauliString;
 use qnoise::DeviceModel;
 use qsim::{
-    CapacityError, Circuit, FaultSchedule, Parallelism, Sharding, SharedPlanCache, TransportError,
-    TransportMode,
+    CapacityError, Circuit, FaultSchedule, Parallelism, RankGauge, Sharding, SharedPlanCache,
+    TransportError, TransportMode,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -640,6 +640,8 @@ pub struct JobQueue {
     /// from this schedule on an attempt-specific stream.
     fault_schedule: FaultSchedule,
     shared: SharedPlanCache,
+    /// Rank threads of every job executor's sharded sessions.
+    ranks: RankGauge,
     /// Aggregate stage telemetry folded in from every completed job —
     /// see [`JobQueue::telemetry_snapshot`].
     telemetry: telemetry::Recorder,
@@ -667,6 +669,7 @@ impl JobQueue {
             default_deadline: parallel::job_deadline_ms().map(Duration::from_millis),
             fault_schedule: FaultSchedule::none(),
             shared: SharedPlanCache::new(),
+            ranks: RankGauge::new(),
             telemetry: telemetry::Recorder::new(),
             state: Mutex::new(SchedState {
                 sched: FairScheduler::new(),
@@ -905,6 +908,15 @@ impl JobQueue {
         lock(&self.state).in_flight_bytes
     }
 
+    /// A handle on the [`RankGauge`] every job executor of this queue
+    /// reports into: rank threads spawned by sharded sessions under the
+    /// channel transport and not yet joined. Zero after a completed
+    /// [`JobQueue::drain`] — every attempt joins its ranks, whether it
+    /// succeeded or a rank was killed.
+    pub fn rank_gauge(&self) -> RankGauge {
+        self.ranks.clone()
+    }
+
     /// Statistics `(structures, hits, misses)` of the plan cache all job
     /// executors share — hits are jobs that reused another job's (or
     /// tenant's) compiled circuit structure.
@@ -1107,6 +1119,7 @@ impl JobQueue {
             .with_parallelism(Parallelism::Serial)
             .with_sharding(sharding)
             .with_transport(transport)
+            .with_rank_gauge(self.ranks.clone())
             .with_fault_schedule(self.fault_schedule, stream);
         let state = exec.try_prepare(&spec.circuit)?;
         let mut pmfs = Vec::with_capacity(spec.measurements.len());

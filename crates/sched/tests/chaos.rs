@@ -7,10 +7,10 @@
 //! reference** (results stay a pure function of `(root_seed, job_id,
 //! spec)` — retries consume no shared RNG and never perturb co-tenants)
 //! or returns a typed [`JobError`]. Never a panic, never a deadlock,
-//! never a leaked rank thread, and the memory-budget accounting is exact
-//! after every drain. The property test below fuzzes that whole grid;
-//! targeted tests pin the retry ladder, deadlines, cancellation, and the
-//! bounded wait.
+//! never a leaked rank thread (read from the queue's rank gauge), and
+//! the memory-budget accounting is exact after every drain. The property
+//! test below fuzzes that whole grid; targeted tests pin the retry
+//! ladder, deadlines, cancellation, and the bounded wait.
 
 use proptest::prelude::*;
 use qnoise::DeviceModel;
@@ -81,35 +81,8 @@ fn reference(
         .collect()
 }
 
-/// Thread count from `/proc/self/status` (`None` off Linux).
-fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
-}
-
-/// Thread count after letting just-exited threads drain from `/proc`: a
-/// joined scoped worker can stay visible for a moment after the join
-/// returns, while a genuinely leaked thread persists. Polls briefly and
-/// returns the lowest count seen.
-fn settled_thread_count(baseline: usize) -> Option<usize> {
-    let mut count = thread_count()?;
-    for _ in 0..100 {
-        if count <= baseline {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-        count = count.min(thread_count()?);
-    }
-    Some(count)
-}
-
-/// One chaos drain: returns per-job outcomes in spec order.
+/// One chaos drain: returns per-job outcomes in spec order, the queue's
+/// in-flight bytes, and its live rank threads after the drain.
 fn chaos_drain(
     device: &DeviceModel,
     root_seed: u64,
@@ -118,7 +91,7 @@ fn chaos_drain(
     policy: RetryPolicy,
     transport: TransportMode,
     workers: usize,
-) -> (Vec<Result<sched::JobOutput, JobError>>, u128) {
+) -> (Vec<Result<sched::JobOutput, JobError>>, u128, usize) {
     let queue = JobQueue::new(device.clone(), SHOTS, root_seed)
         .with_workers(workers)
         .with_sharding(Sharding::Shards(4))
@@ -133,15 +106,15 @@ fn chaos_drain(
     assert_eq!(queue.pending(), 0);
     assert_eq!(queue.completed() as usize, specs.len());
     let outcomes = handles.iter().map(|h| h.wait()).collect();
-    (outcomes, queue.in_flight_bytes())
+    (outcomes, queue.in_flight_bytes(), queue.rank_gauge().live())
 }
 
 proptest! {
     /// Fault schedule × retry policy × transport × worker count: every
     /// job is bit-identical to its fault-free reference or a typed
-    /// transport error; thread counts return to baseline (no leaked
-    /// ranks), in-flight bytes return to zero (no leaked budget), and
-    /// the whole outcome vector is reproducible run for run.
+    /// transport error; the queue's rank gauge returns to zero (no
+    /// leaked ranks), in-flight bytes return to zero (no leaked budget),
+    /// and the whole outcome vector is reproducible run for run.
     #[test]
     fn chaos_schedules_never_break_determinism_or_leak(
         raw in prop::collection::vec(
@@ -189,20 +162,10 @@ proptest! {
             TransportMode::Local
         };
 
-        let baseline = thread_count();
-        let (outcomes, leftover) =
+        let (outcomes, leftover, live_ranks) =
             chaos_drain(&device, root_seed, &specs, schedule, policy, transport, workers);
         prop_assert_eq!(leftover, 0, "budget must be fully released after drain");
-        if let Some(before) = baseline {
-            if let Some(after) = settled_thread_count(before) {
-                prop_assert!(
-                    after <= before,
-                    "rank/worker threads leaked: {} before the drain, {} after",
-                    before,
-                    after
-                );
-            }
-        }
+        prop_assert_eq!(live_ranks, 0, "rank threads leaked past the drain");
 
         let max_attempts = retries + 1;
         for (spec, outcome) in specs.iter().zip(&outcomes) {
@@ -232,7 +195,7 @@ proptest! {
 
         // Chaos runs are exactly reproducible: same schedule, same
         // everything — same outcome vector, Ok and Err alike.
-        let (again, _) =
+        let (again, _, _) =
             chaos_drain(&device, root_seed, &specs, schedule, policy, transport, workers);
         prop_assert_eq!(&outcomes, &again, "chaos runs must be reproducible");
     }
@@ -258,7 +221,7 @@ fn degradation_ladder_lands_unsharded_and_bit_identical() {
     // Channel walks channel → local → unsharded (3 attempts); local has
     // no transport rung to shed first, so it lands unsharded on attempt 2.
     for (transport, attempts) in [(TransportMode::Local, 2), (TransportMode::Channel, 3)] {
-        let (outcomes, leftover) = chaos_drain(
+        let (outcomes, leftover, live_ranks) = chaos_drain(
             &device,
             55,
             &specs,
@@ -268,6 +231,7 @@ fn degradation_ladder_lands_unsharded_and_bit_identical() {
             2,
         );
         assert_eq!(leftover, 0);
+        assert_eq!(live_ranks, 0);
         for out in outcomes {
             let out = out.unwrap_or_else(|e| panic!("{}: {e}", transport.name()));
             let (pmfs, cost) = &expected[&out.job_id];
@@ -290,7 +254,7 @@ fn exhausted_retries_surface_the_typed_transport_error() {
         circuit: ansatz(5, &[0.3, -0.9, 1.4]),
         measurements: vec![Measurement::subset(basis(5, &[3, 3, 0, 0, 0]))],
     }];
-    let (outcomes, leftover) = chaos_drain(
+    let (outcomes, leftover, live_ranks) = chaos_drain(
         &device,
         9,
         &specs,
@@ -300,6 +264,7 @@ fn exhausted_retries_surface_the_typed_transport_error() {
         1,
     );
     assert_eq!(leftover, 0);
+    assert_eq!(live_ranks, 0);
     match &outcomes[0] {
         Err(JobError::Transport(_)) => {}
         other => panic!("expected a typed transport error, got {other:?}"),
@@ -452,7 +417,7 @@ fn backoff_is_bounded_and_does_not_change_results() {
     }];
     let expected = reference(&device, 31, &specs);
     let policy = RetryPolicy::retries(2).with_backoff(Duration::from_millis(1));
-    let (outcomes, _) = chaos_drain(
+    let (outcomes, _, _) = chaos_drain(
         &device,
         31,
         &specs,

@@ -214,6 +214,9 @@ pub struct VarSawEvaluator {
     plan: SpatialPlan,
     scheduler: GlobalScheduler,
     priors: Vec<Option<Pmf>>,
+    /// Local PMFs per basis circuit, one per covered window: built by the
+    /// first evaluation, overwritten in place by every later one.
+    locals: Vec<Vec<Pmf>>,
     pipeline: MitigationPipeline,
 }
 
@@ -270,6 +273,7 @@ impl VarSawEvaluator {
             plan,
             scheduler: GlobalScheduler::new(temporal),
             priors: vec![None; n],
+            locals: Vec::new(),
             pipeline: MitigationPipeline::new(executor),
         }
     }
@@ -320,17 +324,33 @@ impl VarSawEvaluator {
             .collect();
         let subset_pmfs: Vec<Pmf> = pipeline.run_measurements(&subset_jobs);
 
-        // Local PMFs per basis circuit, marginalized out of the groups.
-        let n_bases = self.grouped.num_groups();
-        let locals: Vec<Vec<Pmf>> = (0..n_bases)
-            .map(|b| {
-                self.plan
-                    .coverage(b)
-                    .iter()
-                    .map(|wc| subset_pmfs[wc.group].marginal(&wc.subset.support()))
-                    .collect()
-            })
+        // Local PMFs per basis circuit: each distinct (group, window)
+        // geometry is marginalized once, then copied into every basis
+        // window it serves.
+        let marginals: Vec<Pmf> = self
+            .plan
+            .geometries()
+            .iter()
+            .map(|(group, support)| subset_pmfs[*group].marginal(support))
             .collect();
+        let plan = &self.plan;
+        if self.locals.is_empty() {
+            self.locals = (0..self.grouped.num_groups())
+                .map(|b| {
+                    plan.geometry_of(b)
+                        .iter()
+                        .map(|&i| marginals[i].clone())
+                        .collect()
+                })
+                .collect();
+        } else {
+            for (b, locals) in self.locals.iter_mut().enumerate() {
+                for (local, &i) in locals.iter_mut().zip(plan.geometry_of(b)) {
+                    local.probs_mut().copy_from_slice(marginals[i].probs());
+                }
+            }
+        }
+        let locals = &self.locals;
 
         // 2./3. Reconstruction with fresh Globals and/or chained priors.
         let have_priors = self.priors.iter().all(Option::is_some);

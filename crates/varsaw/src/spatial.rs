@@ -12,11 +12,13 @@
 //! and every one of its reconstruction windows, *which* reduced subset
 //! group serves it — at execution time the group's outcome distribution is
 //! marginalized onto the window, so one executed circuit feeds many
-//! reconstructions.
+//! reconstructions. Many windows share a (group, window support) pair, so
+//! the plan also lists the distinct pairs once: each is marginalized once
+//! per evaluation, however many basis circuits use it.
 
 use mitigation::sliding_windows;
 use pauli::{group_by_cover, Hamiltonian, MeasurementGroup, PauliString};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One reconstruction window of a measurement-basis circuit, with the
 /// reduced subset group that provides its local distribution.
@@ -89,6 +91,13 @@ pub struct SpatialPlan {
     bases: Vec<PauliString>,
     subset_groups: Vec<MeasurementGroup>,
     coverage: Vec<Vec<WindowCoverage>>,
+    /// The distinct (subset group, window support) pairs of `coverage`,
+    /// in first-use order.
+    geometries: Vec<(usize, Vec<usize>)>,
+    /// The `geometries` index of each covered window, basis after basis;
+    /// basis `b`'s windows start at `geometry_starts[b]`.
+    geometry_of: Vec<usize>,
+    geometry_starts: Vec<usize>,
     stats: SpatialStats,
 }
 
@@ -140,13 +149,14 @@ impl SpatialPlan {
         // VarSaw subset pool: windows of every *important* Pauli string,
         // deduplicated.
         let mut unique: Vec<PauliString> = Vec::new();
-        let mut seen: HashMap<PauliString, ()> = HashMap::new();
+        let mut seen: HashSet<PauliString> = HashSet::new();
         for t in &terms {
             if t.coeff().abs() < floor {
                 continue;
             }
             for w in sliding_windows(t.string(), window) {
-                if seen.insert(w.clone(), ()).is_none() {
+                if !seen.contains(&w) {
+                    seen.insert(w.clone());
                     unique.push(w);
                 }
             }
@@ -155,11 +165,14 @@ impl SpatialPlan {
         // Commuting reduction over the pooled subsets (Eq.3 → Eq.4).
         let subset_groups = group_by_cover(&unique);
 
-        // Index: subset string → covering group.
-        let mut group_of: HashMap<&PauliString, usize> = HashMap::new();
+        // Index: subset string → its pool index; pool index → covering
+        // group.
+        let mut index_of: HashMap<&PauliString, usize> = HashMap::new();
+        let mut group_of = vec![0; unique.len()];
         for (gi, g) in subset_groups.iter().enumerate() {
             for &m in &g.members {
-                group_of.insert(&unique[m], gi);
+                index_of.insert(&unique[m], m);
+                group_of[m] = gi;
             }
         }
 
@@ -167,20 +180,36 @@ impl SpatialPlan {
         // basis window is in the pool (bases are seed terms); with a
         // positive floor, uncovered windows are skipped and their
         // reconstruction relies on the global alone.
+        //
+        // A group's basis agrees with each member on the member's
+        // support, so a (group, window support) geometry is exactly one
+        // pooled subset: geometries are numbered per pooled subset, on
+        // first use.
         let mut jigsaw_subsets = 0usize;
+        let mut geometries: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut geometry_of_subset = vec![None; unique.len()];
+        let mut geometry_of = Vec::new();
+        let mut geometry_starts = vec![0];
         let coverage: Vec<Vec<WindowCoverage>> = bases
             .iter()
             .map(|b| {
                 let windows = sliding_windows(b, window);
                 jigsaw_subsets += windows.len();
-                windows
+                let covered = windows
                     .into_iter()
                     .filter_map(|s| {
-                        group_of
-                            .get(&s)
-                            .map(|&group| WindowCoverage { subset: s, group })
+                        let m = *index_of.get(&s)?;
+                        let group = group_of[m];
+                        let geometry = *geometry_of_subset[m].get_or_insert_with(|| {
+                            geometries.push((group, s.support()));
+                            geometries.len() - 1
+                        });
+                        geometry_of.push(geometry);
+                        Some(WindowCoverage { subset: s, group })
                     })
-                    .collect()
+                    .collect();
+                geometry_starts.push(geometry_of.len());
+                covered
             })
             .collect();
 
@@ -196,6 +225,9 @@ impl SpatialPlan {
             bases,
             subset_groups,
             coverage,
+            geometries,
+            geometry_of,
+            geometry_starts,
             stats,
         }
     }
@@ -225,6 +257,19 @@ impl SpatialPlan {
     /// Panics if `b` is out of range.
     pub fn coverage(&self, b: usize) -> &[WindowCoverage] {
         &self.coverage[b]
+    }
+
+    /// The distinct (subset group, window support) pairs over all
+    /// coverage: marginalizing each group's PMF onto each listed support
+    /// yields every local PMF an evaluation needs.
+    pub(crate) fn geometries(&self) -> &[(usize, Vec<usize>)] {
+        &self.geometries
+    }
+
+    /// The [`geometries`](SpatialPlan::geometries) index of each window
+    /// of basis circuit `b`, in [`coverage`](SpatialPlan::coverage) order.
+    pub(crate) fn geometry_of(&self, b: usize) -> &[usize] {
+        &self.geometry_of[self.geometry_starts[b]..self.geometry_starts[b + 1]]
     }
 
     /// Circuit-count statistics (Fig.12).
@@ -299,6 +344,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn geometries_list_each_window_pair_once() {
+        let plan = SpatialPlan::new(&fig6_hamiltonian(), 2);
+        let mut seen = std::collections::HashSet::new();
+        for g in plan.geometries() {
+            assert!(seen.insert(g.clone()), "geometry {g:?} listed twice");
+        }
+        let mut used = vec![false; plan.geometries().len()];
+        for b in 0..plan.bases().len() {
+            assert_eq!(plan.geometry_of(b).len(), plan.coverage(b).len());
+            for (wc, &i) in plan.coverage(b).iter().zip(plan.geometry_of(b)) {
+                assert_eq!(plan.geometries()[i], (wc.group, wc.subset.support()));
+                used[i] = true;
+            }
+        }
+        assert!(used.iter().all(|&u| u), "every geometry serves a window");
     }
 
     #[test]

@@ -7,7 +7,8 @@ use qnoise::{apply_depolarizing, apply_readout_errors, DeviceModel, ReadoutError
 use qsim::shard::auto_shard_count;
 use qsim::{
     CapacityError, Circuit, CircuitPlan, FaultInjection, FaultSchedule, Parallelism, PlanCache,
-    ShardPlan, ShardedState, Sharding, SharedPlanCache, Statevector, TransportError, TransportMode,
+    RankGauge, ShardPlan, ShardedState, Sharding, SharedPlanCache, Statevector, TransportError,
+    TransportMode,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,6 +131,9 @@ pub struct SimExecutor {
     /// advanced deterministically (batches advance by batch length, so
     /// parallel fan-out draws the same faults as sequential execution).
     fault_sessions: u64,
+    /// Rank threads of sharded preparation sessions (see
+    /// [`SimExecutor::with_rank_gauge`]).
+    ranks: RankGauge,
     /// Compiled-plan cache keyed by circuit structure: SPSA evaluations,
     /// subset/Global measurement rotations and MBM circuits all share the
     /// handful of shapes a VQE run executes, so after the first iteration
@@ -161,6 +165,7 @@ impl SimExecutor {
             fault_schedule: FaultSchedule::none(),
             fault_stream: 0,
             fault_sessions: 0,
+            ranks: RankGauge::new(),
             plans: PlanCache::new(),
             shared_plans: None,
         }
@@ -182,6 +187,7 @@ impl SimExecutor {
             fault_schedule: FaultSchedule::none(),
             fault_stream: 0,
             fault_sessions: 0,
+            ranks: RankGauge::new(),
             plans: PlanCache::new(),
             shared_plans: None,
         }
@@ -319,6 +325,14 @@ impl SimExecutor {
         self
     }
 
+    /// Reports the rank threads of every sharded preparation session into
+    /// `gauge` (each executor otherwise keeps its own), so a supervisor
+    /// can check that the executors it built leaked none.
+    pub fn with_rank_gauge(mut self, gauge: RankGauge) -> Self {
+        self.ranks = gauge;
+        self
+    }
+
     /// The shard count preparation of `circuit` resolves to.
     fn resolve_shards(&self, circuit: &Circuit) -> usize {
         match self.sharding {
@@ -354,21 +368,23 @@ impl SimExecutor {
     /// Simulates a compiled plan from `|0…0⟩` on the dense plane or the
     /// sharded executor, surfacing allocation refusals and transport
     /// failures as a typed [`PrepareError`]. All paths are bit-identical.
-    /// `fault` is the chaos injection drawn for this session (only
-    /// sharded execution opens a transport session, so only it can
+    /// The transport pairs the backend with the gauge its rank threads
+    /// report into. `fault` is the chaos injection drawn for this session
+    /// (only sharded execution opens a transport session, so only it can
     /// fault); a failed session's poisoned state is dropped here — the
     /// caller never sees it.
     fn try_simulate(
         plan: &CircuitPlan,
         shard_plan: Option<&ShardPlan>,
         mode: Parallelism,
-        transport: TransportMode,
+        (transport, ranks): (TransportMode, &RankGauge),
         fault: FaultInjection,
     ) -> Result<Statevector, PrepareError> {
         if let Some(sp) = shard_plan {
             let mut st = ShardedState::try_zero(plan.num_qubits(), sp.num_shards())?
                 .with_parallelism(mode)
                 .with_transport(transport)
+                .with_rank_gauge(ranks.clone())
                 .with_fault(fault);
             st.try_apply_shard_plan(sp)?;
             Ok(st.try_to_statevector()?)
@@ -440,7 +456,8 @@ impl SimExecutor {
         let sp = self.shard_plan(&plan, self.resolve_shards(circuit));
         let fault = self.draw_fault(self.fault_sessions, sp.as_ref());
         self.fault_sessions += 1;
-        Self::try_simulate(&plan, sp.as_ref(), self.parallelism, self.transport, fault)
+        let transport = (self.transport, &self.ranks);
+        Self::try_simulate(&plan, sp.as_ref(), self.parallelism, transport, fault)
     }
 
     /// Prepares one state per circuit against the shared [`PlanCache`] —
@@ -496,7 +513,7 @@ impl SimExecutor {
                 (plan, sp, fault)
             })
             .collect();
-        let transport = self.transport;
+        let transport = (self.transport, &self.ranks);
         let states: Vec<Result<Statevector, PrepareError>> = if self.parallelism
             != Parallelism::Serial
             && plans.len() > 1
