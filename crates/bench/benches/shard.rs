@@ -19,20 +19,27 @@
 //! - `spsa_probes_12q_8x_{sequential,batched}`: eight SPSA-style probe
 //!   evaluations of a 12-qubit TFIM objective. The sequential side
 //!   submits one circuit dispatch at a time (`prepare` +
-//!   `run_prepared_all` per measurement group — the execution model
-//!   every evaluator used before batched dispatch existed); the batched
-//!   side is `BaselineEvaluator::evaluate_batch`, which plans the whole
-//!   family up front (shared compiled plans, scratch reuse, direct
-//!   full-register reads) and reproduces the sequential results seed for
-//!   seed — the ratio is pure per-dispatch overhead amortization.
+//!   `run_prepared_all` per measurement group, each a batch of one); the
+//!   batched side is `BaselineEvaluator::evaluate_batch`, which
+//!   dispatches each family in one call (one scratch plane per family)
+//!   and reproduces the sequential results seed for seed — the ratio is
+//!   what per-family dispatch saves over per-circuit calls.
+//! - `batch/varsaw_h2o8_subset_family`: one VarSaw H2O-8 subset family
+//!   (the 63 four-outcome subset circuits of one evaluation) through
+//!   `SimExecutor::run_batch` on a default (`Parallelism::Auto`)
+//!   executor — the paper-sized batch shape. Batched dispatch runs every
+//!   job on the calling thread, so a per-batch thread fan-out returning
+//!   at paper sizes shows up here as a step in `bench_diff --trend`.
 
-use chem::tfim_chain;
+use chem::{molecular_hamiltonian, tfim_chain, MoleculeSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mitigation::Pmf;
 use qnoise::DeviceModel;
 use qsim::{CircuitPlan, ShardPlan, ShardedState, Statevector, TransportMode};
+use varsaw::SpatialPlan;
 use vqe::{
-    BaselineEvaluator, EfficientSu2, EnergyEvaluator, Entanglement, GroupedHamiltonian, SimExecutor,
+    BaselineEvaluator, BatchJob, EfficientSu2, EnergyEvaluator, Entanglement, GroupedHamiltonian,
+    SimExecutor,
 };
 
 /// Shard counts sized so one shard sits comfortably inside the cache
@@ -140,6 +147,29 @@ fn bench_batched_probes(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_subset_family(c: &mut Criterion) {
+    let spec = MoleculeSpec::find("H2O", 8).unwrap();
+    let plan = SpatialPlan::new(&molecular_hamiltonian(&spec), 2);
+    let a = EfficientSu2::new(spec.qubits, 2, Entanglement::Full);
+    let mut exec = SimExecutor::new(DeviceModel::mumbai_like(), 1024, 7);
+    let state = exec.prepare(&a.circuit(&a.initial_parameters(7)));
+    let jobs: Vec<BatchJob<'_>> = plan
+        .subset_groups()
+        .iter()
+        .map(|g| BatchJob::subset(&state, &g.basis))
+        .collect();
+    println!(
+        "bench batch varsaw_h2o8_subset_family: {} subset circuits, {:?} executor",
+        jobs.len(),
+        exec.parallelism()
+    );
+    // Warm the plan cache so the row times rebinds only.
+    exec.run_batch(&jobs);
+    c.bench_function("batch/varsaw_h2o8_subset_family", |b| {
+        b.iter(|| std::hint::black_box(exec.run_batch(&jobs).len()))
+    });
+}
+
 fn config() -> Criterion {
     // The sharded-vs-dense ratios gate CI and single iterations at 20
     // qubits run hundreds of milliseconds, so this target uses few
@@ -153,6 +183,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = shard;
     config = config();
-    targets = bench_sharded_apply, bench_batched_probes
+    targets = bench_sharded_apply, bench_batched_probes, bench_subset_family
 }
 criterion_main!(shard);

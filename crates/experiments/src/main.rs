@@ -38,6 +38,7 @@ ids: table1 table2 table3 table4 table5
      all  (everything, in order)";
 
 fn run(command: &str, opts: &Options) {
+    let start = std::time::Instant::now();
     match command {
         "fig6" => exps::structural::fig6(opts),
         "fig7" => exps::structural::fig7(opts),
@@ -99,5 +100,20 @@ fn run(command: &str, opts: &Options) {
             eprintln!("unknown experiment id: {other}\n{USAGE}");
             std::process::exit(2);
         }
+    }
+    // `all` recursed into every id, and each wrote its own manifest.
+    if command != "all" {
+        // The ablations share one output directory.
+        let dir = if command.starts_with("ablation") {
+            "ablation"
+        } else {
+            command
+        };
+        experiments::report::write_manifest(
+            &opts.out_dir.join(dir),
+            command,
+            opts.full,
+            start.elapsed().as_secs_f64(),
+        );
     }
 }

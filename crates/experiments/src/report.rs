@@ -193,6 +193,94 @@ pub fn write_file(path: &Path, content: &str) {
     f.write_all(content.as_bytes()).expect("write results file");
 }
 
+/// Writes `manifest.json` into `dir`, next to the experiment's CSV/JSON:
+/// the experiment id, the `--full` flag, the checkout's git revision,
+/// every resolved [`parallel::config`] value (the thread count included)
+/// and the run's wall time in seconds.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write_manifest(dir: &Path, experiment: &str, full: bool, wall_s: f64) {
+    let revision = std::env::current_dir()
+        .ok()
+        .and_then(|cwd| {
+            cwd.ancestors()
+                .map(|d| d.join(".git"))
+                .find(|git| git.is_dir())
+        })
+        .and_then(|git| git_revision(&git))
+        .unwrap_or_else(|| "unknown (not a git checkout)".to_string());
+    let text = manifest_json(experiment, full, &revision, parallel::config::get(), wall_s);
+    write_file(&dir.join("manifest.json"), &text);
+}
+
+/// The revision `HEAD` of the git directory `git` points at, read from
+/// its files without running git: a detached hash, a loose ref, or a
+/// packed ref. `None` when `HEAD` is unreadable.
+fn git_revision(git: &Path) -> Option<String> {
+    let read = |p: PathBuf| fs::read_to_string(p).ok().map(|s| s.trim().to_string());
+    let head = read(git.join("HEAD"))?;
+    let Some(name) = head.strip_prefix("ref: ") else {
+        return Some(head);
+    };
+    let packed = || {
+        read(git.join("packed-refs"))?.lines().find_map(|line| {
+            let (hash, r) = line.split_once(' ')?;
+            (r == name).then(|| hash.to_string())
+        })
+    };
+    Some(read(git.join(name)).or_else(packed).unwrap_or(head))
+}
+
+/// The manifest body [`write_manifest`] writes. The configuration is
+/// destructured field by field, so a knob added to
+/// [`parallel::config::Config`] cannot be left out silently.
+fn manifest_json(
+    experiment: &str,
+    full: bool,
+    revision: &str,
+    config: &parallel::config::Config,
+    wall_s: f64,
+) -> String {
+    let parallel::config::Config {
+        threads,
+        shards,
+        sched_workers,
+        shard_transport,
+        job_retries,
+        job_deadline_ms,
+        telemetry,
+        bench_history_window,
+    } = config;
+    fn opt<T: ToString>(v: Option<T>) -> String {
+        v.map_or_else(|| "null".to_string(), |v| v.to_string())
+    }
+    let transport = shard_transport.map(|t| {
+        json_string(match t {
+            parallel::config::ShardTransport::Local => "local",
+            parallel::config::ShardTransport::Channel => "channel",
+        })
+    });
+    let knobs = [
+        ("threads", threads.to_string()),
+        ("shards", opt(*shards)),
+        ("sched_workers", opt(*sched_workers)),
+        ("shard_transport", opt(transport)),
+        ("job_retries", opt(*job_retries)),
+        ("job_deadline_ms", opt(*job_deadline_ms)),
+        ("telemetry", opt(*telemetry)),
+        ("bench_history_window", opt(*bench_history_window)),
+    ]
+    .map(|(k, v)| format!("    {}: {v}", json_string(k)))
+    .join(",\n");
+    format!(
+        "{{\n  \"experiment\": {},\n  \"full\": {full},\n  \"git_revision\": {},\n  \"wall_s\": {wall_s:.6},\n  \"config\": {{\n{knobs}\n  }}\n}}\n",
+        json_string(experiment),
+        json_string(revision),
+    )
+}
+
 /// The results directory for an experiment id (e.g. `fig12`).
 pub fn results_path(out_dir: &Path, id: &str, file: &str) -> PathBuf {
     out_dir.join(id).join(file)
@@ -277,6 +365,70 @@ mod tests {
         t.write_reports(&dir.join("r.csv"));
         assert!(dir.join("r.csv").exists());
         assert!(dir.join("r.json").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_records_revision_every_knob_and_wall_time() {
+        let config = parallel::config::Config {
+            threads: 4,
+            shards: None,
+            sched_workers: Some(2),
+            shard_transport: Some(parallel::config::ShardTransport::Local),
+            job_retries: None,
+            job_deadline_ms: Some(250),
+            telemetry: Some(false),
+            bench_history_window: None,
+        };
+        let text = manifest_json("table3", false, "0123abc", &config, 14.5);
+        for field in [
+            r#""experiment": "table3""#,
+            r#""full": false"#,
+            r#""git_revision": "0123abc""#,
+            r#""wall_s": 14.500000"#,
+            r#""threads": 4"#,
+            r#""shards": null"#,
+            r#""sched_workers": 2"#,
+            r#""shard_transport": "local""#,
+            r#""job_retries": null"#,
+            r#""job_deadline_ms": 250"#,
+            r#""telemetry": false"#,
+            r#""bench_history_window": null"#,
+        ] {
+            assert!(text.contains(field), "missing {field} in\n{text}");
+        }
+        assert_eq!(text.matches('{').count(), text.matches('}').count());
+    }
+
+    #[test]
+    fn git_revision_reads_detached_loose_and_packed_heads() {
+        let git = std::env::temp_dir().join("varsaw-test-manifest-git");
+        std::fs::remove_dir_all(&git).ok();
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        write_file(&git.join("HEAD"), "ref: refs/heads/main\n");
+        write_file(
+            &git.join("packed-refs"),
+            "# pack-refs with: peeled\nbbbb refs/heads/main\ncccc refs/heads/other\n",
+        );
+        assert_eq!(git_revision(&git).as_deref(), Some("bbbb"));
+        write_file(&git.join("refs/heads/main"), "aaaa\n");
+        assert_eq!(git_revision(&git).as_deref(), Some("aaaa"));
+        write_file(&git.join("HEAD"), "dddd\n");
+        assert_eq!(git_revision(&git).as_deref(), Some("dddd"));
+        std::fs::remove_dir_all(&git).ok();
+        assert_eq!(git_revision(&git), None);
+    }
+
+    #[test]
+    fn write_manifest_lands_next_to_the_reports() {
+        let dir = std::env::temp_dir().join("varsaw-test-manifest");
+        write_manifest(&dir, "fig8", true, 0.25);
+        let text = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(text.contains(r#""experiment": "fig8""#));
+        assert!(text.contains(&format!(
+            r#""threads": {}"#,
+            parallel::config::get().threads
+        )));
         std::fs::remove_dir_all(&dir).ok();
     }
 

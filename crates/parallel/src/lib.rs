@@ -60,12 +60,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// and `Threads(n)` requests are clamped to whatever partition the engine
 /// can actually hand out. Engines guarantee that the choice never changes
 /// results — serial and threaded paths are bit-identical.
+///
+/// Only the engines decide. Layers above them pass the mode through and
+/// add no fan-out of their own: `vqe::SimExecutor`'s batched dispatch
+/// runs each job on the calling thread under its mode, so a batch of
+/// paper-sized circuits stays serial under `Auto`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Parallelism {
     /// Always run the serial kernels on the calling thread.
     Serial,
     /// Pick automatically: threaded with [`num_threads`] workers when the
     /// work is large enough to amortize thread spawns, serial otherwise.
+    /// The statevector engine goes threaded from 2¹¹ amplitudes and 8
+    /// compiled plan ops (its probability pass from 2¹⁶ amplitudes); the
+    /// reconstruction engine from 2¹⁵ outcomes.
     Auto,
     /// Request an explicit worker count. Engines clamp the request (the
     /// statevector engine rounds down to a power of two; the

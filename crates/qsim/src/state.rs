@@ -474,9 +474,9 @@ impl Statevector {
 
     /// [`Statevector::probabilities`] with an explicit [`Parallelism`]
     /// choice. Being elementwise, every path is bit-identical; the knob
-    /// exists so callers already running inside a thread fan-out (e.g. a
-    /// batched dispatch) can pin the serial path instead of nesting
-    /// worker scopes.
+    /// lets callers pass their own mode through (a `vqe::SimExecutor`
+    /// hands over its configured [`Parallelism`]) or pin the serial path
+    /// inside a thread fan-out instead of nesting worker scopes.
     ///
     /// # Panics
     ///

@@ -128,8 +128,8 @@ pub struct SimExecutor {
     /// each retry attempt a distinct stream.
     fault_stream: u64,
     /// Preparation sessions opened so far: the schedule's session index,
-    /// advanced deterministically (batches advance by batch length, so
-    /// parallel fan-out draws the same faults as sequential execution).
+    /// advanced deterministically (a batch advances it by its length up
+    /// front, so batched prepares draw the same faults as sequential ones).
     fault_sessions: u64,
     /// Rank threads of sharded preparation sessions (see
     /// [`SimExecutor::with_rank_gauge`]).
@@ -226,13 +226,15 @@ impl SimExecutor {
     }
 
     /// Sets how statevector simulation spreads gate kernels across
-    /// threads (default [`Parallelism::Auto`]).
+    /// threads (default [`Parallelism::Auto`]). The mode is handed to the
+    /// statevector engine for every preparation, rotation and read; under
+    /// `Auto` the engine threads only states of at least 2¹¹ amplitudes
+    /// (11 qubits), so paper-sized workloads run serially on the calling
+    /// thread. Batched dispatch ([`SimExecutor::prepare_batch`],
+    /// [`SimExecutor::run_batch`]) adds no fan-out of its own.
     ///
     /// Serial and threaded simulation produce bit-identical amplitudes,
-    /// so this knob never changes results — use it to pin executors to
-    /// the serial path when many run concurrently (e.g. inside
-    /// `parallel_map`-style trial fan-outs) and thread oversubscription
-    /// would hurt.
+    /// so this knob never changes results.
     ///
     /// ```
     /// use qnoise::DeviceModel;
@@ -452,21 +454,19 @@ impl SimExecutor {
     /// assert_eq!(err.capacity().unwrap().num_qubits(), 33);
     /// ```
     pub fn try_prepare(&mut self, circuit: &Circuit) -> Result<Statevector, PrepareError> {
-        let plan = self.plan(circuit);
-        let sp = self.shard_plan(&plan, self.resolve_shards(circuit));
-        let fault = self.draw_fault(self.fault_sessions, sp.as_ref());
-        self.fault_sessions += 1;
-        let transport = (self.transport, &self.ranks);
-        Self::try_simulate(&plan, sp.as_ref(), self.parallelism, transport, fault)
+        let mut states = self.try_prepare_batch(std::slice::from_ref(circuit))?;
+        Ok(states.pop().expect("one state per circuit"))
     }
 
     /// Prepares one state per circuit against the shared [`PlanCache`] —
     /// the batched twin of [`SimExecutor::prepare`], and the front half
     /// of a [`SimExecutor::run_batch`] dispatch. Circuits sharing one
     /// structure (an SPSA ± probe pair, multi-start restarts, a subset
-    /// family) compile once and rebind per entry; on multi-core hosts the
-    /// simulations fan out across [`parallel::num_threads`] workers (each
-    /// pinned serial inside, so the batch is never oversubscribed).
+    /// family) compile once and rebind per entry. Each circuit is
+    /// simulated on the calling thread under the executor's
+    /// [`Parallelism`], so the statevector engine alone decides whether a
+    /// state is large enough to thread; the batch adds no fan-out of its
+    /// own.
     ///
     /// Results are **identical** to calling `prepare` once per circuit,
     /// in order — preparation consumes no randomness and every execution
@@ -499,38 +499,21 @@ impl SimExecutor {
         circuits: &[Circuit],
     ) -> Result<Vec<Statevector>, PrepareError> {
         // Per-entry session indices are assigned up front (base + i), so
-        // the batch draws the exact faults sequential prepares would —
-        // regardless of whether the fan-out below runs threaded.
+        // the batch draws the exact faults sequential prepares would, and
+        // a failed batch still consumes one session per circuit.
         let base_session = self.fault_sessions;
         self.fault_sessions += circuits.len() as u64;
-        let plans: Vec<(CircuitPlan, Option<ShardPlan>, FaultInjection)> = circuits
+        circuits
             .iter()
             .enumerate()
             .map(|(i, c)| {
                 let plan = self.plan(c);
                 let sp = self.shard_plan(&plan, self.resolve_shards(c));
                 let fault = self.draw_fault(base_session + i as u64, sp.as_ref());
-                (plan, sp, fault)
+                let transport = (self.transport, &self.ranks);
+                Self::try_simulate(&plan, sp.as_ref(), self.parallelism, transport, fault)
             })
-            .collect();
-        let transport = (self.transport, &self.ranks);
-        let states: Vec<Result<Statevector, PrepareError>> = if self.parallelism
-            != Parallelism::Serial
-            && plans.len() > 1
-            && parallel::num_threads() > 1
-        {
-            parallel::parallel_map(plans, move |(plan, sp, fault)| {
-                Self::try_simulate(plan, sp.as_ref(), Parallelism::Serial, transport, *fault)
-            })
-        } else {
-            plans
-                .iter()
-                .map(|(plan, sp, fault)| {
-                    Self::try_simulate(plan, sp.as_ref(), self.parallelism, transport, *fault)
-                })
-                .collect()
-        };
-        states.into_iter().collect()
+            .collect()
     }
 
     /// Plan-cache statistics `(structures, hits, misses)` — how often
@@ -602,18 +585,7 @@ impl SimExecutor {
     /// Panics if the basis is all-identity, acts on more qubits than the
     /// state, or the device has fewer qubits than the measurement needs.
     pub fn run_prepared(&mut self, state: &Statevector, basis: &PauliString) -> Pmf {
-        let measured = basis.support();
-        assert!(
-            !measured.is_empty(),
-            "cannot execute a measurement of the identity basis"
-        );
-        let mut st = {
-            let _span = telemetry::span(telemetry::Stage::SweepSerial);
-            state.clone()
-        };
-        let plan = self.plan(&basis_rotation(basis));
-        st.apply_plan_with(&plan, self.parallelism);
-        self.finish(st.marginal_probabilities(&measured), measured)
+        self.run_one(BatchJob::subset(state, basis))
     }
 
     /// Runs a measurement of `basis` on an already-prepared state,
@@ -629,14 +601,12 @@ impl SimExecutor {
     /// Panics if the basis acts on more qubits than the state or the device
     /// is too small.
     pub fn run_prepared_all(&mut self, state: &Statevector, basis: &PauliString) -> Pmf {
-        let mut st = {
-            let _span = telemetry::span(telemetry::Stage::SweepSerial);
-            state.clone()
-        };
-        let plan = self.plan(&basis_rotation(basis));
-        st.apply_plan_with(&plan, self.parallelism);
-        let measured: Vec<usize> = (0..state.num_qubits()).collect();
-        self.finish(st.marginal_probabilities(&measured), measured)
+        self.run_one(BatchJob::global(state, basis))
+    }
+
+    /// A [`SimExecutor::run_batch`] of one job.
+    fn run_one(&mut self, job: BatchJob<'_>) -> Pmf {
+        self.run_batch(&[job]).pop().expect("one PMF per job")
     }
 
     /// Runs an explicit circuit from `|0…0⟩` and measures `measured` in the
@@ -657,18 +627,19 @@ impl SimExecutor {
     /// family, the Globals of an iteration — as **one batched dispatch**,
     /// returning one PMF per job in order.
     ///
-    /// Results (and the executor's RNG stream, cost counter, and plan
-    /// cache) are **exactly** those of the equivalent sequence of
-    /// [`SimExecutor::run_prepared`] / [`SimExecutor::run_prepared_all`]
-    /// calls, seed for seed — regression-tested, so batching is always
-    /// safe. What changes is the cost: the batch is *planned* up front
-    /// (rotation plans bound through the cache, measured-qubit sets
-    /// resolved once), the deterministic statevector work runs with a
-    /// reused scratch plane (and fans out across threads on multi-core
-    /// hosts — each job pinned serial inside), full-register reads skip
-    /// the generic marginal bit-gather for the direct probability pass,
-    /// and only the noise + sampling stage — which must consume the RNG
-    /// in job order — stays sequential.
+    /// [`SimExecutor::run_prepared`] and [`SimExecutor::run_prepared_all`]
+    /// are batches of one, so results (and the executor's RNG stream,
+    /// cost counter, and plan cache) are **exactly** those of the
+    /// equivalent sequence of single calls, seed for seed; a regression
+    /// test also pins every PMF to the generic measurement (clone, rotate
+    /// serially, gather the marginal). Batching saves cost only: rotation
+    /// plans rebind through the cache, the rotations reuse one scratch
+    /// plane, unrotated reads skip the copy, and full-register reads skip
+    /// the generic marginal bit-gather for the direct probability pass.
+    /// Every job runs on the
+    /// calling thread under the executor's [`Parallelism`], so the
+    /// statevector engine alone decides whether a state is large enough
+    /// to thread; the batch adds no fan-out of its own.
     ///
     /// # Panics
     ///
@@ -693,19 +664,22 @@ impl SimExecutor {
     /// assert_eq!(exec.circuits_executed(), 2);
     /// ```
     pub fn run_batch(&mut self, jobs: &[BatchJob<'_>]) -> Vec<Pmf> {
-        struct Planned {
-            plan: CircuitPlan,
-            measured: Vec<usize>,
-            /// Whether `measured` is the full register in index order —
-            /// `support()` is ascending, so length alone decides — which
-            /// unlocks the direct probability read.
-            full_register: bool,
-        }
-        let planned: Vec<Planned> = jobs
-            .iter()
+        // Rotate, read and sample each job in order: bit-identical to the
+        // generic clone + rotate + marginal measurement (the full-register
+        // read and the in-place no-rotation read produce the same bits;
+        // `scratch` only recycles the allocation), and the RNG is
+        // consumed in job order.
+        let mut scratch: Option<Statevector> = None;
+        jobs.iter()
             .map(|job| {
+                let n = job.state.num_qubits();
+                assert!(
+                    job.basis.num_qubits() <= n,
+                    "basis acts on {} qubits but state has {n}",
+                    job.basis.num_qubits()
+                );
                 let measured: Vec<usize> = if job.measure_all {
-                    (0..job.state.num_qubits()).collect()
+                    (0..n).collect()
                 } else {
                     job.basis.support()
                 };
@@ -713,72 +687,32 @@ impl SimExecutor {
                     !measured.is_empty(),
                     "cannot execute a measurement of the identity basis"
                 );
-                let full_register = measured.len() == job.state.num_qubits();
-                Planned {
-                    plan: self.plan(&basis_rotation(job.basis)),
-                    measured,
-                    full_register,
-                }
-            })
-            .collect();
-
-        // Rotate and read one job: bit-identical to `run_prepared`'s
-        // clone + rotate + marginal (the full-register read and the
-        // in-place no-rotation read produce the same bits as the generic
-        // path; `scratch` only recycles the allocation).
-        let read = |job: &BatchJob<'_>,
-                    pl: &Planned,
-                    scratch: &mut Option<Statevector>,
-                    mode: Parallelism|
-         -> Vec<f64> {
-            let rotated: &Statevector = if pl.plan.op_count() == 0 {
-                job.state
-            } else {
-                let st = {
-                    let _span = telemetry::span(telemetry::Stage::SweepSerial);
-                    match scratch {
-                        Some(st) if st.num_qubits() == job.state.num_qubits() => {
-                            st.amplitudes_mut().copy_from_slice(job.state.amplitudes());
-                            st
+                let plan = self.plan(&basis_rotation(job.basis));
+                let rotated: &Statevector = if plan.op_count() == 0 {
+                    job.state
+                } else {
+                    let st = {
+                        let _span = telemetry::span(telemetry::Stage::SweepSerial);
+                        match &mut scratch {
+                            Some(st) if st.num_qubits() == n => {
+                                st.amplitudes_mut().copy_from_slice(job.state.amplitudes());
+                                st
+                            }
+                            _ => scratch.insert(job.state.clone()),
                         }
-                        _ => scratch.insert(job.state.clone()),
-                    }
+                    };
+                    st.apply_plan_with(&plan, self.parallelism);
+                    st
                 };
-                st.apply_plan_with(&pl.plan, mode);
-                st
-            };
-            if pl.full_register {
-                // `mode` rides along so jobs pinned serial inside the
-                // batch fan-out never nest a second worker scope.
-                rotated.probabilities_with(mode)
-            } else {
-                rotated.marginal_probabilities(&pl.measured)
-            }
-        };
-
-        let probs: Vec<Vec<f64>> = if self.parallelism != Parallelism::Serial
-            && jobs.len() > 1
-            && parallel::num_threads() > 1
-        {
-            let indices: Vec<usize> = (0..jobs.len()).collect();
-            parallel::parallel_map(indices, |&i| {
-                let mut scratch = None;
-                read(&jobs[i], &planned[i], &mut scratch, Parallelism::Serial)
+                // `support()` is ascending, so length alone decides
+                // whether `measured` is the full register in index order.
+                let probs = if measured.len() == n {
+                    rotated.probabilities_with(self.parallelism)
+                } else {
+                    rotated.marginal_probabilities(&measured)
+                };
+                self.finish(probs, measured)
             })
-        } else {
-            let mut scratch: Option<Statevector> = None;
-            jobs.iter()
-                .zip(&planned)
-                .map(|(job, pl)| read(job, pl, &mut scratch, self.parallelism))
-                .collect()
-        };
-
-        // Noise + sampling consume the RNG in job order: sequential by
-        // construction, exactly as N single runs would.
-        probs
-            .into_iter()
-            .zip(planned)
-            .map(|(p, pl)| self.finish(p, pl.measured))
             .collect()
     }
 
@@ -971,48 +905,136 @@ mod tests {
         exec.run_prepared(&Statevector::zero(2), &ps("II"));
     }
 
+    const MODES: [Parallelism; 3] = [
+        Parallelism::Serial,
+        Parallelism::Auto,
+        Parallelism::Threads(4),
+    ];
+
+    /// A 12-qubit entangled state (2¹² amplitudes: past the engine's
+    /// `Auto` threshold, so batched jobs on it thread inside the engine).
+    fn wide_circuit(theta: f64) -> Circuit {
+        let mut c = Circuit::new(12);
+        for q in 0..12 {
+            c.ry(q, theta + 0.37 * q as f64)
+                .rz(q, 0.5 * theta - 0.11 * q as f64);
+        }
+        for q in 0..11 {
+            c.cx(q, q + 1);
+        }
+        for q in 0..12 {
+            c.ry(q, 0.2 * theta + 0.05 * q as f64);
+        }
+        c
+    }
+
+    /// The generic sequential measurement every batched read must equal
+    /// bit for bit: clone, rotate on the serial path, gather the marginal
+    /// over the measured qubits, then noise + sampling.
+    fn reference_run(
+        exec: &mut SimExecutor,
+        state: &Statevector,
+        basis: &PauliString,
+        measure_all: bool,
+    ) -> Pmf {
+        let measured: Vec<usize> = if measure_all {
+            (0..state.num_qubits()).collect()
+        } else {
+            basis.support()
+        };
+        let mut st = state.clone();
+        st.apply_plan_with(&exec.plan(&basis_rotation(basis)), Parallelism::Serial);
+        let probs = st.marginal_probabilities(&measured);
+        exec.finish(probs, measured)
+    }
+
     /// The seed-for-seed regression the batched dispatch is specified
-    /// by: `run_batch` must reproduce N sequential `run_prepared` /
-    /// `run_prepared_all` calls exactly — PMFs, RNG stream, and cost
-    /// counter.
+    /// by: `run_batch` must reproduce the generic sequential measurement
+    /// of every job exactly — PMFs, RNG stream, and cost counter — under
+    /// every parallelism mode, including jobs whose states are wide
+    /// enough for the engine to thread.
     #[test]
     fn run_batch_matches_sequential_runs_seed_for_seed() {
-        let make_exec = || SimExecutor::new(DeviceModel::mumbai_like(), 512, 21);
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).ry(2, 0.6).cx(1, 2);
         let mut st = Statevector::zero(3);
         st.apply_circuit(&c);
         let st2 = Statevector::zero(3);
-        let bases = [ps("ZZI"), ps("XZY"), ps("ZZZ"), ps("IXX")];
+        let mut wide = Statevector::zero(12);
+        wide.apply_circuit_serial(&wide_circuit(0.4));
+        let wide2 = {
+            let mut w = Statevector::zero(12);
+            w.apply_circuit_serial(&wide_circuit(-1.3));
+            w
+        };
+        let narrow_bases = [ps("ZZI"), ps("XZY"), ps("ZZZ"), ps("IXX")];
+        let wide_bases = [
+            ps("XYXYXYXYXYXY"),
+            ps("ZZZZZZZZZZZZ"),
+            ps("YXIIXYZZXYXY"),
+            ps("IIIIIIIIIIXX"),
+        ];
+        // (state, basis, measure_all) per job, in dispatch order.
+        type Case<'a> = Vec<(&'a Statevector, &'a PauliString, bool)>;
+        let narrow: Case = vec![
+            (&st, &narrow_bases[0], true),
+            (&st, &narrow_bases[1], false),
+            (&st2, &narrow_bases[2], true),
+            (&st2, &narrow_bases[3], false),
+            (&st, &narrow_bases[0], false),
+        ];
+        let wide_case: Case = vec![
+            (&wide, &wide_bases[0], true),
+            (&wide, &wide_bases[0], false),
+            (&wide2, &wide_bases[1], true),
+            (&wide, &wide_bases[2], false),
+            (&wide2, &wide_bases[2], true),
+            (&wide2, &wide_bases[3], false),
+        ];
 
-        let mut seq = make_exec();
-        let mut expected: Vec<Pmf> = Vec::new();
-        expected.push(seq.run_prepared_all(&st, &bases[0]));
-        expected.push(seq.run_prepared(&st, &bases[1]));
-        expected.push(seq.run_prepared_all(&st2, &bases[2]));
-        expected.push(seq.run_prepared(&st2, &bases[3]));
-        expected.push(seq.run_prepared(&st, &bases[0]));
+        for (name, case) in [("3q", &narrow), ("12q", &wide_case)] {
+            for mode in MODES {
+                let make_exec =
+                    || SimExecutor::new(DeviceModel::mumbai_like(), 512, 21).with_parallelism(mode);
+                let mut seq = make_exec();
+                let expected: Vec<Pmf> = case
+                    .iter()
+                    .map(|&(state, basis, all)| reference_run(&mut seq, state, basis, all))
+                    .collect();
 
-        let mut batched = make_exec();
-        let got = batched.run_batch(&[
-            BatchJob::global(&st, &bases[0]),
-            BatchJob::subset(&st, &bases[1]),
-            BatchJob::global(&st2, &bases[2]),
-            BatchJob::subset(&st2, &bases[3]),
-            BatchJob::subset(&st, &bases[0]),
-        ]);
+                let mut batched = make_exec();
+                let jobs: Vec<BatchJob<'_>> = case
+                    .iter()
+                    .map(|&(state, basis, all)| {
+                        if all {
+                            BatchJob::global(state, basis)
+                        } else {
+                            BatchJob::subset(state, basis)
+                        }
+                    })
+                    .collect();
+                let got = batched.run_batch(&jobs);
 
-        assert_eq!(got.len(), expected.len());
-        for (g, e) in got.iter().zip(&expected) {
-            assert_eq!(g.qubits(), e.qubits());
-            assert_eq!(g.probs(), e.probs(), "batched PMF must match exactly");
+                assert_eq!(got.len(), expected.len(), "{name} {mode:?}");
+                for (g, e) in got.iter().zip(&expected) {
+                    assert_eq!(g.qubits(), e.qubits(), "{name} {mode:?}");
+                    assert_eq!(
+                        g.probs(),
+                        e.probs(),
+                        "{name} {mode:?}: PMF must match exactly"
+                    );
+                }
+                assert_eq!(batched.circuits_executed(), seq.circuits_executed());
+                // The RNG streams stayed in lockstep: one more run still
+                // agrees, through both the wrapper and the reference.
+                let (state, basis, _) = case[1];
+                assert_eq!(
+                    batched.run_prepared(state, basis).probs(),
+                    reference_run(&mut seq, state, basis, false).probs(),
+                    "{name} {mode:?}: RNG stream diverged"
+                );
+            }
         }
-        assert_eq!(batched.circuits_executed(), seq.circuits_executed());
-        // The RNG streams stayed in lockstep: one more run still agrees.
-        assert_eq!(
-            batched.run_prepared(&st, &bases[1]).probs(),
-            seq.run_prepared(&st, &bases[1]).probs()
-        );
     }
 
     #[test]
@@ -1025,8 +1047,8 @@ mod tests {
         let mut batched = seq.clone();
         let bases = [ps("ZIZ"), ps("XYZ")];
         let expected = [
-            seq.run_prepared_all(&st, &bases[0]),
-            seq.run_prepared(&st, &bases[1]),
+            reference_run(&mut seq, &st, &bases[0], true),
+            reference_run(&mut seq, &st, &bases[1], false),
         ];
         let got = batched.run_batch(&[
             BatchJob::global(&st, &bases[0]),
@@ -1039,7 +1061,8 @@ mod tests {
 
     #[test]
     fn prepare_batch_matches_sequential_prepares() {
-        let circuits: Vec<Circuit> = [0.3f64, -1.1, 2.4]
+        let thetas = [0.3f64, -1.1, 2.4];
+        let narrow: Vec<Circuit> = thetas
             .iter()
             .map(|&t| {
                 let mut c = Circuit::new(3);
@@ -1047,14 +1070,26 @@ mod tests {
                 c
             })
             .collect();
-        let mut exec = SimExecutor::new(DeviceModel::noiseless(3), 16, 1);
-        let batch = exec.prepare_batch(&circuits);
-        let mut seq_exec = SimExecutor::new(DeviceModel::noiseless(3), 16, 1);
-        for (c, b) in circuits.iter().zip(&batch) {
-            assert_eq!(seq_exec.prepare(c).amplitudes(), b.amplitudes());
+        let wide: Vec<Circuit> = thetas.iter().map(|&t| wide_circuit(t)).collect();
+        for (name, circuits) in [("3q", &narrow), ("12q", &wide)] {
+            for mode in MODES {
+                let n = circuits[0].num_qubits();
+                let mut exec =
+                    SimExecutor::new(DeviceModel::noiseless(n), 16, 1).with_parallelism(mode);
+                let batch = exec.prepare_batch(circuits);
+                for (c, b) in circuits.iter().zip(&batch) {
+                    let mut reference = Statevector::zero(n);
+                    reference.apply_plan_with(&CircuitPlan::compile(c), Parallelism::Serial);
+                    assert_eq!(
+                        reference.amplitudes(),
+                        b.amplitudes(),
+                        "{name} {mode:?}: batched state must match the serial reference"
+                    );
+                }
+                // One structure: one compile, two rebinds.
+                assert_eq!(exec.plan_cache_stats(), (1, 2, 1), "{name} {mode:?}");
+            }
         }
-        // One structure: one compile, two rebinds.
-        assert_eq!(exec.plan_cache_stats(), (1, 2, 1));
     }
 
     #[test]
